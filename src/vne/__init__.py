@@ -59,7 +59,6 @@ from .states import (
     restrict,
     s_tau,
     s_vn,
-    state_from_density,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "scalar_subalgebra", "tensor_algebra", "tensor_left_subalgebra",
     "tensor_right_subalgebra",
     "State", "maximally_mixed", "pure_state", "restrict", "s_tau", "s_vn",
-    "state_from_density",
     "KosakiGrid", "kosaki_eval", "petz_decompose", "rel_entropy_closed",
     "rel_entropy_modular", "reverse_entropy",
     "Inclusion", "IndexReport", "diagonal_inclusion", "dual_expectation",

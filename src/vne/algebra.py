@@ -380,10 +380,6 @@ def ambient_trace(algebra: MultiMatrixAlgebra) -> TraceWeight:
     return TraceWeight(algebra, tuple(float(m) for _, m in algebra.blocks))
 
 
-def trace_of(tau: TraceWeight, x) -> complex:
-    return tau.value(x)
-
-
 # -- commutants and block decomposition -------------------------------------
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -499,15 +497,8 @@ def suite_names():
     return sorted(_SUITES)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("VNE_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def run_suite(name: str, trials: int | None = None, seed: int = 0,
-              tol: float | None = None, threads: int | None = None) -> VerificationReport:
+              tol: float | None = None) -> VerificationReport:
     """Run one named suite; unknown names raise KeyError with the catalog."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
@@ -517,20 +508,14 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
     ctx = setup(seed)
     seeds = np.random.SeedSequence(seed).spawn(trials)
 
-    def one(i: int) -> dict:
+    started = time.perf_counter()
+    records = []
+    for i in range(trials):
         rec = trial(ctx, i, np.random.default_rng(seeds[i]), tol)
         rec = {k: _plain(v) if not isinstance(v, (list, str)) else v
                for k, v in rec.items()}
         rec["trial"] = i
-        return rec
-
-    started = time.perf_counter()
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(trials)))
-    else:
-        records = [one(i) for i in range(trials)]
+        records.append(rec)
     elapsed = time.perf_counter() - started
     return VerificationReport(name, trials, seed, tol, records, elapsed)
 

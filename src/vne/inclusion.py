@@ -105,14 +105,14 @@ class Inclusion:
         rho = 0.5 * (rho + dagger(rho))
         return State(self.ambient, phi.tau, rho)
 
-    def index_report(self, starts: int = 64, seed: int = 7) -> "IndexReport":
+    def index_report(self) -> "IndexReport":
         if self._index is None:
-            self._index = index_report(self, starts=starts, seed=seed)
+            self._index = index_report(self)
         return self._index
 
-    def dual(self, seed: int = 3) -> "DualExpectation":
+    def dual(self) -> "DualExpectation":
         if self._dual is None:
-            self._dual = dual_expectation(self, seed=seed)
+            self._dual = dual_expectation(self)
         return self._dual
 
 
@@ -409,17 +409,6 @@ def pp_index_cp(inc: Inclusion):
     return 1.0 / lam_star, certs
 
 
-def _cp_index_rank_one(inc: Inclusion) -> float:
-    # single full factor: Choi(id) = d |Omega><Omega|
-    if inc.ambient.blocks != ((inc.ambient.dim, 1),):
-        raise ValueError("rank-one route needs a full ambient factor")
-    d = inc.ambient.dim
-    cm, _ = _choi_pair(inc, 0)
-    omega = vec(np.eye(d, dtype=complex)) / math.sqrt(d)
-    cpinv, _ = _pinv_psd(cm)
-    return float(np.real(d * np.vdot(omega, cpinv @ omega)))
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """Both index values with their optimality certificates.
@@ -590,11 +579,11 @@ class GapReport:
         return abs(self.gap - self.relent_route)
 
 
-def entropy_gap_bound(inc: Inclusion, phi: State, starts: int = 64) -> GapReport:
+def entropy_gap_bound(inc: Inclusion, phi: State) -> GapReport:
     ent_sub = s_tau(inc.restrict_state(phi))
     ent_amb = s_tau(phi)
     route = rel_entropy_closed(phi, inc.compress_state(phi))
-    bound = math.log(inc.index_report(starts=starts).pp_positive)
+    bound = math.log(inc.index_report().pp_positive)
     return GapReport(ent_sub, ent_amb, route, bound)
 
 

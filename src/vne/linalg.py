@@ -104,16 +104,11 @@ def matrix_function(h, f, support_only: bool = False, tol: float = HERM_TOL):
     return (v * fw) @ dagger(v)
 
 
-def kron(a, b):
-    """Kronecker product (tensor product in the computational basis ordering)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(m, dims, side: str):
     """Trace out one tensor factor of an operator on C^d1 (x) C^d2.
 
-    side names the factor being traced out: partial_trace(kron(a, b), (d1, d2),
-    "right") == Tr(b) * a.
+    side names the factor being traced out:
+    partial_trace(np.kron(a, b), (d1, d2), "right") == Tr(b) * a.
     """
     d1, d2 = dims
     m = np.asarray(m, dtype=complex)

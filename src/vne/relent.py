@@ -86,12 +86,6 @@ class StandardForm:
     def vectorize(self, x) -> np.ndarray:
         return np.array([self.tau.inner(e, x) for e in self.onb])
 
-    def unvectorize(self, coords):
-        out = np.zeros((self.algebra.dim, self.algebra.dim), dtype=complex)
-        for c, e in zip(coords, self.onb):
-            out += c * e
-        return out
-
     def left_matrix(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
         cols = [self.vectorize(a @ e) for e in self.onb]
@@ -101,9 +95,6 @@ class StandardForm:
         a = np.asarray(a, dtype=complex)
         cols = [self.vectorize(e @ a) for e in self.onb]
         return np.stack(cols, axis=1)
-
-    def left_algebra_basis(self):
-        return [self.left_matrix(b) for b in self.algebra.basis]
 
     def subspace_projection(self, sub: MultiMatrixAlgebra) -> np.ndarray:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""
@@ -132,9 +123,6 @@ class RelativeModularOperator:
         mat = form.left_matrix(psi.rho) @ form.right_matrix(inv_phi)
         mat = check_hermitian(mat, tol=1e-9)
         return cls(form=form, matrix=mat)
-
-    def apply_to_member(self, x):
-        return self.form.unvectorize(self.matrix @ self.form.vectorize(x))
 
     def eigensystem(self):
         return herm_eig(self.matrix)

@@ -62,20 +62,6 @@ class State:
             raise ValueError("scaling of a positive functional must be positive")
         return State(self.algebra, self.tau, c * self.rho)
 
-    def with_trace(self, new_tau: TraceWeight) -> "State":
-        """Same functional re-expressed against another trace weight."""
-        if new_tau.algebra is not self.algebra and not new_tau.algebra.same_span(self.algebra):
-            raise ValueError("trace weight belongs to a different algebra")
-        comps = self.algebra.block_components(self.rho)
-        ratios = [w_old / w_new for w_old, w_new in zip(self.tau.weights, new_tau.weights)]
-        return State(new_tau.algebra, new_tau,
-                     new_tau.algebra.embed([r * c for r, c in zip(ratios, comps)]))
-
-
-def state_from_density(algebra: MultiMatrixAlgebra, tau: TraceWeight, rho,
-                       expect_mass: float | None = None) -> State:
-    return State(algebra, tau, rho, mass=expect_mass)
-
 
 def maximally_mixed(algebra: MultiMatrixAlgebra, tau: TraceWeight) -> State:
     """The tracial state tau / tau(1)."""

@@ -5,7 +5,6 @@ asserts the same condition, so a plain pytest run gates on all of them.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -240,8 +239,7 @@ def test_criterion_13_full_desk_scale_run(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "vne.cli", "verify", "all-desk-scale",
          "--out", str(tmp_path / "reports")],
-        cwd=REPO_ROOT, capture_output=True, text=True,
-        env={**os.environ, "VNE_THREADS": "1"}, timeout=600)
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=600)
     elapsed = time.perf_counter() - started
     _line(13, "full verification experiment",
           proc.returncode == 0 and elapsed < 300.0,

@@ -3,13 +3,13 @@
 import csv
 import json
 import math
-from pathlib import Path
+from importlib import resources
 
 import pytest
 
 from vne.cli import main
 
-SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "desk.json")
+SPEC = str(resources.files("vne").joinpath("data/desk.json"))
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +132,18 @@ class TestVerifyCommand:
                 "--seed", "99")
         assert ((d1 / "entropy-bounds.json").read_bytes()
                 != (d2 / "entropy-bounds.json").read_bytes())
+
+    def test_thread_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # suites run serially; a stale VNE_THREADS setting changes nothing
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        run_cli(capsys, "verify", "smoke", "--spec", SPEC, "--out", str(d1))
+        monkeypatch.setenv("VNE_THREADS", "abc")
+        code, _, _ = run_cli(capsys, "verify", "smoke", "--spec", SPEC,
+                             "--out", str(d2))
+        assert code == 0
+        assert sorted(f.name for f in d2.iterdir()) == sorted(f.name for f in d1.iterdir())
+        for f in sorted(d1.iterdir()):
+            assert f.read_bytes() == (d2 / f.name).read_bytes()
 
     def test_tampered_tolerance_exits_1(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "smoke", "--spec", SPEC,

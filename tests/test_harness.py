@@ -123,11 +123,6 @@ class TestSuites:
         rep = run_suite("entropy-vn-shift", trials=20, seed=0, tol=0.0)
         assert not rep.passed
 
-    def test_threaded_run_matches_serial(self):
-        serial = run_suite("entropy-bounds", trials=16, seed=5, threads=1)
-        threaded = run_suite("entropy-bounds", trials=16, seed=5, threads=4)
-        assert serial.to_json() == threaded.to_json()
-
     def test_extremes_are_signed(self):
         rep = run_suite("entropy-gap-bound", trials=10, seed=3)
         assert rep.min_slack <= rep.max_slack

@@ -26,7 +26,7 @@ from vne.inclusion import (
     trace_expectation,
     xu_identity,
 )
-from vne.linalg import dagger, frob, kron
+from vne.linalg import dagger, frob
 from vne.states import State, maximally_mixed, s_tau
 
 
@@ -46,8 +46,8 @@ class TestTraceExpectation:
         rng = np.random.default_rng(0)
         a_part = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b_part = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        x = kron(a_part, b_part)
-        expected = kron(a_part, np.eye(3)) * (np.trace(b_part) / 3.0)
+        x = np.kron(a_part, b_part)
+        expected = np.kron(a_part, np.eye(3)) * (np.trace(b_part) / 3.0)
         assert frob(inc.apply(x) - expected) < 1e-10
 
     def test_projects_onto_subalgebra(self):
@@ -138,6 +138,14 @@ class TestIndexValues:
         rep = index_report(inc)
         assert abs(rep.pp_positive - 3.0) < 1e-6
         assert abs(rep.pp_cp - 6.0) < 1e-8
+
+    def test_cached_report_matches_fresh_defaults(self):
+        inc = tensor_pair_inclusion(2, 3)
+        cached = inc.index_report()
+        assert inc.index_report() is cached
+        fresh = index_report(tensor_pair_inclusion(2, 3))
+        assert cached.pp_positive == fresh.pp_positive
+        assert cached.pp_cp == fresh.pp_cp
 
     def test_cp_dominates_positive(self):
         for inc in (scalar_inclusion(3), tensor_pair_inclusion(2, 2),

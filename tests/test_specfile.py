@@ -18,7 +18,7 @@ from vne.specfile import (
 )
 from vne.states import s_tau
 
-REPO_SPEC = Path(__file__).resolve().parent.parent / "specs" / "desk.json"
+BUNDLED_SPEC = Path(str(resources.files("vne").joinpath("data/desk.json")))
 
 
 def minimal_doc(**overrides):
@@ -195,16 +195,12 @@ class TestCanonicalForm:
 
 
 class TestBundledSpec:
-    def test_repo_and_packaged_copies_identical(self):
-        packaged = resources.files("vne").joinpath("data/desk.json").read_text()
-        assert REPO_SPEC.read_text() == packaged
-
     def test_bundled_spec_is_canonical(self):
-        text = REPO_SPEC.read_text()
+        text = BUNDLED_SPEC.read_text()
         assert parse_spec(text).to_json() == text
 
     def test_bundled_names_resolve(self):
-        sf = load_spec(REPO_SPEC)
+        sf = load_spec(BUNDLED_SPEC)
         assert abs(s_tau(sf.state("m2-pure")) + math.log(2.0)) < 1e-10
         assert abs(s_tau(sf.state("m2-tracial"))) < 1e-12
         assert abs(s_tau(sf.state("m2-unbalanced")) + 0.13081203594113694) < 1e-9
