@@ -81,9 +81,7 @@ class MultiMatrixAlgebra:
 
     def project(self, x):
         """Orthogonal projection of an ambient matrix onto the span."""
-        v = vec(x)
-        coords = np.conj(self._onb) @ v
-        return unvec(coords @ self._onb, self.dim)
+        return _span_project(self._onb, x, self.dim)
 
     def membership_residual(self, x) -> float:
         return frob(x - self.project(x)) / max(1.0, frob(x))
@@ -124,17 +122,12 @@ class MultiMatrixAlgebra:
         return out
 
     def central_projection(self, k):
-        n, m = self.blocks[k]
         v = self.isometries[k]
         return v @ dagger(v)
 
     def minimal_projection(self, k):
         """Rank-m_k ambient projection: the (1,1) matrix unit of block k."""
-        n, m = self.blocks[k]
-        e = np.zeros((n, n), dtype=complex)
-        e[0, 0] = 1.0
-        v = self.isometries[k]
-        return v @ np.kron(e, np.eye(m)) @ dagger(v)
+        return self.matrix_unit(k, 0, 0)
 
     def matrix_unit(self, k, i, j):
         n, m = self.blocks[k]
@@ -307,11 +300,14 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixA
 class TraceWeight:
     """Faithful trace on a multi-matrix algebra: positive weight per block.
 
-    tau(x) = sum_k weight_k * Tr(x_k) over block components x_k.
+    tau(x) = sum_k weight_k * Tr(x_k) over block components x_k, which is
+    Tr(T x) for the ambient density T = sum_k (weight_k / m_k) P_k built
+    from the central projections P_k.
     """
 
     algebra: MultiMatrixAlgebra
     weights: tuple
+    ambient_density: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = tuple(float(w) for w in self.weights)
@@ -319,6 +315,10 @@ class TraceWeight:
             raise ValueError("one weight per block required")
         if any(w <= 0 for w in self.weights):
             raise ValueError(f"trace weights must be positive, got {self.weights}")
+        t = sum((w / m) * self.algebra.central_projection(k)
+                for k, (w, (_, m)) in enumerate(zip(self.weights, self.algebra.blocks)))
+        # exactly Hermitian, so that value() may pair through np.vdot
+        self.ambient_density = 0.5 * (t + dagger(t))
 
     @property
     def total(self) -> float:
@@ -326,14 +326,8 @@ class TraceWeight:
         return float(sum(w * n for w, (n, _) in zip(self.weights, self.algebra.blocks)))
 
     def value(self, x) -> complex:
-        t = 0.0 + 0.0j
-        for k, w in enumerate(self.weights):
-            t += w * np.trace(self.algebra.block_component(x, k))
-        return complex(t)
-
-    def inner(self, x, y) -> complex:
-        """Sesquilinear pairing tau(x* y)."""
-        return self.value(dagger(x) @ y)
+        """tau(x) = Tr(T x), for members and non-members alike."""
+        return complex(np.vdot(self.ambient_density, np.asarray(x, dtype=complex)))
 
     def scaled(self, lam: float) -> "TraceWeight":
         if not lam > 0:
@@ -354,20 +348,14 @@ class TraceWeight:
             ws.append(float(np.real(self.value(sub.minimal_projection(l)))))
         return TraceWeight(sub, tuple(ws))
 
-    def functional_density(self, functional) -> np.ndarray:
-        """The member rho with tau(rho x) = functional(x) on the algebra.
+    def density(self, t) -> np.ndarray:
+        """The member rho with tau(rho x) = Tr(t x) for every member x.
 
-        Exact against the matrix-unit structure: the (j, i) entry of block k
-        is functional(u_{k,i,j}) / weight_k.
+        Block k of rho is m_k * block_component(t, k) / weight_k.
         """
-        comps = []
-        for k, (n, _) in enumerate(self.algebra.blocks):
-            c = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    c[j, i] = functional(self.algebra.matrix_unit(k, i, j)) / self.weights[k]
-            comps.append(c)
-        return self.algebra.embed(comps)
+        alg = self.algebra
+        return alg.embed([m * alg.block_component(t, k) / w
+                          for k, (w, (_, m)) in enumerate(zip(self.weights, alg.blocks))])
 
 
 def normalized_trace(algebra: MultiMatrixAlgebra) -> TraceWeight:

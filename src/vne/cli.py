@@ -228,6 +228,9 @@ def main(argv=None) -> int:
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return 2
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        print("error: --tol must be a non-negative finite real", file=sys.stderr)
+        return 2
     try:
         spec = _load(args)
         return _COMMANDS[args.command](spec, args)

@@ -116,15 +116,6 @@ class Inclusion:
         return self._dual
 
 
-def _trace_density(tau: TraceWeight) -> np.ndarray:
-    # tau(y) = Tr(T y) with T = sum_k (w_k / m_k) P_k
-    alg = tau.algebra
-    t = np.zeros((alg.dim, alg.dim), dtype=complex)
-    for k, (_, m) in enumerate(alg.blocks):
-        t += (tau.weights[k] / m) * alg.central_projection(k)
-    return t
-
-
 def _random_member(alg: MultiMatrixAlgebra, rng) -> np.ndarray:
     return alg.random_hermitian(rng) + 1j * alg.random_hermitian(rng)
 
@@ -148,15 +139,10 @@ def trace_expectation(
     for b in sub.basis:
         ambient.require_member(b, what="subalgebra basis element")
     d = ambient.dim
-    t_density = _trace_density(tau)
     basis = [np.asarray(b, dtype=complex) for b in sub.basis]
-    nb = len(basis)
-    gram = np.zeros((nb, nb), dtype=complex)
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            gram[i, j] = tau.inner(bi, bj)
     bmat = np.stack([vec(b) for b in basis])            # (nb, d^2)
-    wmat = np.stack([vec(b @ t_density) for b in basis])
+    wmat = np.stack([vec(b @ tau.ambient_density) for b in basis])
+    gram = bmat.conj() @ wmat.T                         # tau(b_i* b_j)
     superop = bmat.T @ np.linalg.solve(gram, wmat.conj())
     inc = Inclusion(ambient, sub, tau, superop, bipartite=bipartite)
 
@@ -517,15 +503,10 @@ class XuReport:
         return abs(self.total - self.log_index)
 
 
-def _vector_state(alg: MultiMatrixAlgebra, tau: TraceWeight, xi: np.ndarray,
-                  transform=None) -> State:
-    def functional(x):
-        y = x if transform is None else transform(x)
-        return np.vdot(xi, y @ xi)
-
-    rho = tau.functional_density(functional)
-    rho = 0.5 * (rho + dagger(rho))
-    return State(alg, tau, rho)
+def _vector_state(tau: TraceWeight, t: np.ndarray) -> State:
+    """The state tau(rho x) = Tr(t x) on the algebra of tau."""
+    rho = tau.density(t)
+    return State(tau.algebra, tau, 0.5 * (rho + dagger(rho)))
 
 
 def xu_identity(inc: Inclusion, phi: State) -> XuReport:
@@ -542,10 +523,11 @@ def xu_identity(inc: Inclusion, phi: State) -> XuReport:
     du = inc.dual()
     xi = du.form.cyclic_vector(phi)
     tau_prime = du.expectation.tau
-    phi_prime = _vector_state(du.sub_commutant, tau_prime, xi)
-    phi_prime_eps = _vector_state(
-        du.sub_commutant, tau_prime, xi, transform=du.expectation.apply
-    )
+    # <xi, x xi> = Tr(xi xi* x) and <xi, eps(x) xi> = Tr(eps^*(xi xi*)* x); the
+    # densities are Hermitian on the algebra, so t and t* give the same state
+    xi_xi = np.outer(xi, xi.conj())
+    phi_prime = _vector_state(tau_prime, xi_xi)
+    phi_prime_eps = _vector_state(tau_prime, du.expectation.adjoint_apply(xi_xi))
     term_comm = rel_entropy_closed(phi_prime, phi_prime_eps)
     return XuReport(term_sub, term_comm, math.log(inc.index_report().pp_cp))
 

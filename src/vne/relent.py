@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .algebra import MultiMatrixAlgebra, TraceWeight
 from .linalg import check_hermitian, dagger, frob, herm_eig, matrix_function
@@ -60,41 +61,33 @@ def rel_entropy_closed(phi: State, psi: State) -> float:
 
 @dataclass(eq=False)
 class StandardForm:
-    """Trace GNS space L^2(A, tau) with a concrete orthonormal basis.
+    """Trace GNS space L^2(A, tau) in block coordinates.
 
-    Members vectorize to coordinates against matrix units scaled by the
-    block weights; left and right multiplications become explicit matrices
-    acting on those coordinates.
+    A member x = (+)_k x_k (x) 1_{m_k} has coordinates (+)_k sqrt(w_k) x_k,
+    each block row-major: its coefficients against the orthonormal basis of
+    matrix units scaled by 1 / sqrt(w_k). Left multiplication by a becomes
+    block-diag(a_k (x) 1) and right multiplication block-diag(1 (x) a_k^T).
     """
 
     algebra: MultiMatrixAlgebra
     tau: TraceWeight
 
     def __post_init__(self):
-        elems = []
-        for k, (n, _) in enumerate(self.algebra.blocks):
-            s = 1.0 / math.sqrt(self.tau.weights[k])
-            for i in range(n):
-                for j in range(n):
-                    elems.append(s * self.algebra.matrix_unit(k, i, j))
-        self.onb = elems
-        self.hs_dim = len(elems)
-        gram = np.array([[self.tau.inner(a, b) for b in elems] for a in elems])
-        if frob(gram - np.eye(self.hs_dim)) > 1e-9:
+        # the coordinates are exact only when the block ranges are orthonormal
+        w = np.concatenate(self.algebra.isometries, axis=1)
+        if frob(dagger(w) @ w - np.eye(w.shape[1])) > 1e-9:
             raise ArithmeticError("GNS basis failed orthonormality check")
+        self.hs_dim = self.algebra.dim_linear
 
     def vectorize(self, x) -> np.ndarray:
-        return np.array([self.tau.inner(e, x) for e in self.onb])
+        comps = self.algebra.block_components(x)
+        return np.concatenate([math.sqrt(w) * c.ravel() for w, c in zip(self.tau.weights, comps)])
 
     def left_matrix(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        cols = [self.vectorize(a @ e) for e in self.onb]
-        return np.stack(cols, axis=1)
+        return block_diag(*[np.kron(c, np.eye(len(c))) for c in self.algebra.block_components(a)])
 
     def right_matrix(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        cols = [self.vectorize(e @ a) for e in self.onb]
-        return np.stack(cols, axis=1)
+        return block_diag(*[np.kron(np.eye(len(c)), c.T) for c in self.algebra.block_components(a)])
 
     def subspace_projection(self, sub: MultiMatrixAlgebra) -> np.ndarray:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""

@@ -194,6 +194,10 @@ def _parse_trace(name: str, entry, algebras: dict, canon: dict) -> TraceWeight:
     where = f"traces.{name}"
     if not isinstance(entry, dict) or "algebra" not in entry:
         raise SpecError(f"{where}: expected an object with an algebra reference")
+    extra = sorted(set(entry) - {"algebra", "weights"})
+    if extra:
+        raise SpecError(f"{where}: unknown keys {', '.join(map(repr, extra))}; "
+                        f"a trace takes algebra and weights")
     alg = _resolve(algebras, entry["algebra"], "algebra", where)
     weights = entry.get("weights", "normalized")
     if weights == "normalized":

@@ -133,6 +133,6 @@ def restrict(phi: State, sub: MultiMatrixAlgebra) -> State:
     expectation onto B.
     """
     tau_b = phi.tau.restricted_to(sub)
-    rho_b = tau_b.functional_density(phi)
+    rho_b = tau_b.density(phi.tau.ambient_density @ phi.rho)
     rho_b = 0.5 * (rho_b + dagger(rho_b))
     return State(sub, tau_b, rho_b)

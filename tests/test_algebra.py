@@ -149,14 +149,55 @@ class TestTraceWeight:
         assert abs(tau_b.weights[0] - 0.5) < 1e-14
         assert abs(tau_b.total - 1.0) < 1e-14
 
-    def test_functional_density_reproduces_functional(self):
+    def test_density_reproduces_functional(self):
         a = algebra_from_blocks([(2, 1), (1, 2)])
         tau = normalized_trace(a)
         rng = np.random.default_rng(1)
         target = a.random_hermitian(rng)
-        functional = lambda x: tau.value(target @ x)
-        rho = tau.functional_density(functional)
+        # the functional x -> tau(target x) is Tr(T target x)
+        rho = tau.density(tau.ambient_density @ target)
         assert frob(rho - target) < 1e-10
+
+    def test_density_of_nonhermitian_ambient_matrix(self):
+        a = algebra_from_blocks([(2, 2), (1, 3)])
+        tau = TraceWeight(a, (0.3, 1.7))
+        rng = np.random.default_rng(4)
+        t = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
+        rho = tau.density(t)
+        assert a.membership_residual(rho) < 1e-12
+        for x in list(a.canonical_basis()) + [_random_member(a, rng) for _ in range(3)]:
+            assert abs(tau.value(rho @ x) - np.trace(t @ x)) < 1e-12 * max(1.0, frob(x))
+        # oracle: entry (j, i) of block k is Tr(t u_{k,i,j}) / weight_k
+        comps = []
+        for k, (n, _) in enumerate(a.blocks):
+            c = np.zeros((n, n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    c[j, i] = np.trace(t @ a.matrix_unit(k, i, j)) / tau.weights[k]
+            comps.append(c)
+        assert frob(rho - a.embed(comps)) < 1e-12
+
+    @pytest.mark.parametrize("member", [True, False])
+    def test_value_is_weighted_block_trace(self, member):
+        a = algebra_from_blocks([(2, 2), (1, 3)])
+        tau = TraceWeight(a, (0.3, 1.7))
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            if member:
+                x = _random_member(a, rng)
+            else:
+                x = rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
+            assert abs(tau.value(x) - block_trace_value(tau, x)) < 1e-12 * max(1.0, frob(x))
+
+
+def _random_member(a, rng):
+    return a.random_hermitian(rng) + 1j * a.random_hermitian(rng)
+
+
+def block_trace_value(tau, x):
+    """tau(x) as sum_k weight_k Tr(block_component(x, k))."""
+    return complex(sum(w * np.trace(tau.algebra.block_component(x, k))
+                       for k, w in enumerate(tau.weights)))
 
 
 class TestCommutant:

@@ -151,6 +151,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_tolerance_exits_2(self, capsys, tmp_path, tol):
+        code, _, err = run_cli(capsys, "verify", "smoke", "--spec", SPEC,
+                               "--out", str(tmp_path / "rep"), "--tol", tol)
+        assert code == 2
+        assert "--tol" in err
+        assert not (tmp_path / "rep").exists()
+
     def test_unknown_experiment_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nope", "--spec", SPEC)
         assert code == 2

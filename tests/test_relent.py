@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vne.algebra import (
+    MultiMatrixAlgebra,
+    TraceWeight,
+    algebra_from_blocks,
     diagonal_subalgebra,
     full_matrix_algebra,
     normalized_trace,
     scalar_subalgebra,
+    tensor_right_subalgebra,
 )
 from vne.inclusion import tensor_pair_inclusion
+from vne.linalg import dagger
 from vne.relent import (
     KosakiGrid,
     StandardForm,
@@ -127,6 +132,73 @@ class TestModularRoute:
         psi = hs_state(a, tau, seed + 1, floor=0.05)
         assert abs(rel_entropy_closed(phi, psi)
                    - rel_entropy_modular(phi, psi)) < 1e-9
+
+
+def block_trace_value(tau, x):
+    return complex(sum(w * np.trace(tau.algebra.block_component(x, k))
+                       for k, w in enumerate(tau.weights)))
+
+
+def unit_basis_form(tau):
+    """The GNS construction by matrix units scaled by 1 / sqrt(w_k), with
+    coordinates taken as tau-inner products against that basis."""
+    alg = tau.algebra
+    onb = [alg.matrix_unit(k, i, j) / math.sqrt(tau.weights[k])
+           for k, (n, _) in enumerate(alg.blocks) for i in range(n) for j in range(n)]
+
+    def vectorize(x):
+        return np.array([block_trace_value(tau, dagger(e) @ x) for e in onb])
+
+    def left(a):
+        return np.stack([vectorize(a @ e) for e in onb], axis=1)
+
+    def right(a):
+        return np.stack([vectorize(e @ a) for e in onb], axis=1)
+
+    return vectorize, left, right
+
+
+COORDINATE_CASES = [
+    pytest.param(lambda: TraceWeight(algebra_from_blocks([(2, 2), (1, 3)]), (0.3, 1.7)),
+                 id="blocks-2x2-1x3"),
+    pytest.param(lambda: TraceWeight(tensor_right_subalgebra(2, 3), (0.4,)),
+                 id="tensor-right-2-3"),
+]
+
+
+class TestStandardForm:
+    @pytest.mark.parametrize("make_tau", COORDINATE_CASES)
+    def test_coordinates_match_unit_basis(self, make_tau):
+        tau = make_tau()
+        a = tau.algebra
+        form = StandardForm(a, tau)
+        vectorize, left, right = unit_basis_form(tau)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            x = a.random_hermitian(rng) + 1j * a.random_hermitian(rng)
+            assert np.max(np.abs(form.vectorize(x) - vectorize(x))) < 1e-12
+            assert np.max(np.abs(form.left_matrix(x) - left(x))) < 1e-12
+            assert np.max(np.abs(form.right_matrix(x) - right(x))) < 1e-12
+
+    def test_overlapping_isometries_rejected(self):
+        e0 = np.array([[1.0], [0.0]], dtype=complex)
+        diag = (e0 + np.array([[0.0], [1.0]])) / math.sqrt(2.0)
+        alg = MultiMatrixAlgebra(dim=2, blocks=((1, 1), (1, 1)),
+                                 basis=np.stack([e0 @ dagger(e0), diag @ dagger(diag)]),
+                                 isometries=[e0, diag])
+        with pytest.raises(ArithmeticError, match="orthonormality"):
+            StandardForm(alg, TraceWeight(alg, (1.0, 1.0)))
+
+    @pytest.mark.parametrize("make_tau", COORDINATE_CASES)
+    def test_modular_route_on_multiplicities(self, make_tau):
+        tau = make_tau()
+        a = tau.algebra
+        form = StandardForm(a, tau)
+        for seed in range(10):
+            phi = hs_state(a, tau, seed, floor=0.05)
+            psi = hs_state(a, tau, seed + 500, floor=0.05)
+            assert abs(rel_entropy_closed(phi, psi)
+                       - rel_entropy_modular(phi, psi, form)) < 1e-9
 
 
 class TestKosaki:

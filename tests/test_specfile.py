@@ -97,6 +97,12 @@ class TestParsing:
         with pytest.raises(SpecError, match="unknown algebra 'missing'"):
             parse(doc)
 
+    def test_trace_rejects_unknown_keys(self):
+        doc = minimal_doc()
+        doc["traces"]["tau2"] = {"algebra": "m2", "kind": "unnormalized"}
+        with pytest.raises(SpecError, match="traces.tau2.*'kind'"):
+            parse(doc)
+
     def test_trace_algebra_mismatch_on_state(self):
         doc = minimal_doc()
         doc["algebras"]["m3"] = {"kind": "full", "n": 3}
