@@ -166,29 +166,26 @@ class MultiMatrixAlgebra:
     # -- structural validation --------------------------------------------
 
     def validate(self, tol: float = SPAN_TOL):
-        """Check the advertised invariants; raises on violation."""
+        """Certify that the span is the algebra its blocks describe; raises on violation.
+
+        The blocks partition the ambient space, the concatenated isometries W
+        satisfy W*W = 1, every basis element is rebuilt from its block
+        components and the span has rank sum_k n_k^2.  Together these give
+        span = sum_k V_k (M_{n_k} (x) 1) V_k*, which contains 1 and is closed
+        under adjoints and products.
+        """
         if sum(n * m for n, m in self.blocks) != self.dim:
             raise ValueError("block dimensions do not partition the ambient space")
-        self.require_member(self.identity(), "identity")
-        worst = 0.0
-        for b in self.basis:
-            worst = max(worst, self.membership_residual(dagger(b)))
+        w = np.concatenate(self.isometries, axis=1)
+        if frob(dagger(w) @ w - np.eye(self.dim)) > 1e-8:
+            raise ValueError("block isometries are not jointly orthonormal")
+        worst = max(frob(self.embed(self.block_components(b)) - b) / max(1.0, frob(b))
+                    for b in self.basis)
         if worst > tol:
-            raise ValueError(f"span is not adjoint-closed (residual {worst:.3e})")
-        worst = 0.0
-        for a in self.basis:
-            for b in self.basis:
-                worst = max(worst, self.membership_residual(a @ b))
-        if worst > tol:
-            raise ValueError(f"span is not multiplicatively closed (worst product residual {worst:.3e})")
-        for k in range(len(self.blocks)):
-            v = self.isometries[k]
-            n, m = self.blocks[k]
-            if frob(dagger(v) @ v - np.eye(n * m)) > 1e-8:
-                raise ValueError(f"block isometry {k} is not an isometry")
-        recon = max(frob(self.embed(self.block_components(b)) - b) for b in self.basis)
-        if recon > 1e-8 * max(1.0, max(frob(b) for b in self.basis)):
-            raise ValueError(f"block reconstruction residual {recon:.3e} exceeds 1e-8")
+            raise ValueError(f"span leaves the block algebra (reconstruction residual {worst:.3e})")
+        if self._onb.shape[0] != self.dim_linear:
+            raise ValueError(f"span has rank {self._onb.shape[0]} but the blocks "
+                             f"need {self.dim_linear}")
         return self
 
 
@@ -411,15 +408,6 @@ def _cluster(values, tol):
     return [np.array(g, dtype=int) for g in groups]
 
 
-def _hermitian_span(span):
-    """Real-linear Hermitian spanning set of a *-closed complex span."""
-    out = []
-    for b in span:
-        out.append(0.5 * (b + dagger(b)))
-        out.append(0.5j * (dagger(b) - b))
-    return out
-
-
 def _span_project(onb, x, d):
     coords = np.conj(onb) @ vec(x)
     return unvec(coords @ onb, d)
@@ -428,119 +416,71 @@ def _span_project(onb, x, d):
 def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMatrixAlgebra:
     """Block decomposition of a numerically closed *-algebra span.
 
-    Randomized: a generic central element separates the central summands and
-    a generic member splits each summand into matrix units.  Deterministic
-    for a fixed seed.  Rejects spans that are not multiplicatively closed,
-    reporting the worst product residual.
+    Randomized, deterministic for a fixed seed.  The eigenspaces of a generic
+    Hermitian member are the ranges of the minimal projections; a generic
+    member b couples two of them (E_i* b E_j != 0) exactly when they lie in
+    the same summand, and the polar parts of those couplings give the matrix
+    units.  validate() then certifies the result, so a span that is not a
+    *-algebra raises ValueError.
     """
-    span = [np.asarray(b, dtype=complex) for b in span]
-    d = span[0].shape[0]
-    rng = np.random.default_rng(seed)
-    rows = np.stack([vec(b) for b in span])
-    onb = _orthonormal_rows(rows)
-    scale = max(1.0, max(frob(b) for b in span))
-
-    def project(x):
-        return _span_project(onb, x, d)
+    span = np.stack([np.asarray(b, dtype=complex) for b in span])
+    d = span.shape[1]
+    onb = _orthonormal_rows(span.reshape(len(span), -1))
 
     def residual(x):
-        return frob(x - project(x)) / max(1.0, frob(x))
+        return frob(x - _span_project(onb, x, d)) / max(1.0, frob(x))
 
     if residual(np.eye(d)) > tol:
         raise ValueError("span does not contain the identity")
     worst = max(residual(dagger(b)) for b in span)
     if worst > tol:
         raise ValueError(f"span is not adjoint-closed (residual {worst:.3e})")
-    worst = max(residual(a @ b) for a in span for b in span)
-    if worst > tol:
-        raise ValueError(f"span is not multiplicatively closed (worst product residual {worst:.3e})")
 
-    # center: members commuting with the whole span
-    nb = onb.shape[0]
-    basis_mats = [unvec(row, d) for row in onb]
-    comm_rows = []
-    for b in basis_mats:
-        block = np.zeros((d * d, nb), dtype=complex)
-        for j, c in enumerate(basis_mats):
-            block[:, j] = vec(c @ b - b @ c)
-        comm_rows.append(block)
-    ns = _null_columns(np.concatenate(comm_rows, axis=0))
-    center = [sum(ns[j, i] * basis_mats[j] for j in range(nb)) for i in range(ns.shape[1])]
-    zh = _hermitian_span(center)
-    coeffs = rng.standard_normal(len(zh))
-    z = sum(c * h for c, h in zip(coeffs, zh))
-    z = 0.5 * (z + dagger(z))
-
-    es = herm_eig(z, tol=1e-8)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((2, len(span))) + 1j * rng.standard_normal((2, len(span)))
+    a, b = np.tensordot(coeffs, span, axes=1)
+    es = herm_eig(0.5 * (a + dagger(a)), tol=1e-8)
     spread = max(1.0, float(es.eigenvalues[-1] - es.eigenvalues[0]))
-    clusters = _cluster(es.eigenvalues, 1e-6 * spread)
+    frames = [es.eigenvectors[:, g] for g in _cluster(es.eigenvalues, 1e-6 * spread)]
+    cut = 1e-8 * frob(b)
 
     blocks = []
     isometries = []
-    for cl in clusters:
-        r_iso = es.eigenvectors[:, cl]          # range of one central projection
-        r = r_iso.shape[1]
-        comp = [dagger(r_iso) @ b @ r_iso for b in basis_mats]
-        comp_rows = _orthonormal_rows(np.stack([c.ravel() for c in comp]))
-        lk = comp_rows.shape[0]                 # should be n^2
-        comp_basis = [comp_rows[i].reshape(r, r) for i in range(lk)]
-
-        # generic member of the compressed factor M_n (x) 1_m
-        hs = _hermitian_span(comp_basis)
-        a = sum(c * h for c, h in zip(rng.standard_normal(len(hs)), hs))
-        a = 0.5 * (a + dagger(a))
-        aes = herm_eig(a, tol=1e-8)
-        aspread = max(1.0, float(aes.eigenvalues[-1] - aes.eigenvalues[0]))
-        acl = _cluster(aes.eigenvalues, 1e-6 * aspread)
-        n = len(acl)
-        mults = {len(g) for g in acl}
-        if len(mults) != 1 or n * next(iter(mults)) != r or n * n != lk:
-            raise ArithmeticError(
-                f"block split failed: {n} clusters of sizes {sorted(len(g) for g in acl)} "
-                f"in a summand of rank {r} and linear dimension {lk}")
-        m = next(iter(mults))
-        eig_projs = [aes.eigenvectors[:, g] for g in acl]   # r x m frames
-
-        # matrix units via polar parts of e_1 b e_j
-        for _ in range(8):
-            b = sum(c * h for c, h in zip(rng.standard_normal(len(hs)), hs)) \
-                + 1j * sum(c * h for c, h in zip(rng.standard_normal(len(hs)), hs))
-            frames = [eig_projs[0]]
-            ok = True
-            for j in range(1, n):
-                w = dagger(eig_projs[0]) @ b @ eig_projs[j]  # m x m
-                u, s, vh = np.linalg.svd(w)
-                if s[-1] < 1e-8 * max(1.0, s[0]):
-                    ok = False
-                    break
-                frames.append(eig_projs[j] @ dagger(u @ vh))
-            if ok:
-                break
-        else:
-            raise ArithmeticError("failed to build matrix units from eight random members")
-
+    left = list(range(len(frames)))
+    while left:
+        e0 = frames[left[0]]
+        summand = [left[0]] + [j for j in left[1:] if frob(dagger(e0) @ b @ frames[j]) > cut]
+        sizes = [frames[j].shape[1] for j in summand]
+        if len(set(sizes)) != 1:
+            raise ValueError(f"span is not a *-algebra: coupled eigenspaces of a generic "
+                             f"member have dimensions {sizes}")
         # columns ordered (i, alpha): basis in which members act as x (x) 1_m
-        w_block = np.concatenate(frames, axis=1)
-        v_k = r_iso @ w_block
-        blocks.append((n, m))
-        isometries.append(v_k)
+        cols = [e0]
+        for j in summand[1:]:
+            u, _, vh = np.linalg.svd(dagger(e0) @ b @ frames[j])
+            cols.append(frames[j] @ dagger(u @ vh))
+        blocks.append((len(summand), sizes[0]))
+        isometries.append(np.concatenate(cols, axis=1))
+        left = [j for j in left if j not in summand]
 
     order = sorted(range(len(blocks)), key=lambda k: (blocks[k][0], blocks[k][1], k))
     blocks = tuple(blocks[k] for k in order)
     isometries = [isometries[k] for k in order]
-    alg = MultiMatrixAlgebra(dim=d, blocks=blocks, basis=np.stack(span), isometries=isometries)
-    alg.validate()
+    alg = MultiMatrixAlgebra(dim=d, blocks=blocks, basis=span, isometries=isometries, _onb=onb)
+    alg.validate(tol)
     alg.basis = alg.canonical_basis()
-    alg.__post_init__()
     return alg
 
 
 def generated_algebra(generators, ambient_dim: int, seed: int = 0, max_rounds: int = 12) -> MultiMatrixAlgebra:
     """Close a generating set under adjoints and products, then decompose."""
     d = ambient_dim
-    mats = [np.eye(d, dtype=complex)]
-    mats += [np.asarray(g, dtype=complex) for g in generators]
-    mats += [dagger(g) for g in generators]
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    # the generated algebra does not depend on scale; unit-sized entries keep
+    # the SVDs below from overflowing
+    gens = [g / max(np.abs(g.real).max(), np.abs(g.imag).max()) if np.any(g) else g
+            for g in gens]
+    mats = [np.eye(d, dtype=complex)] + gens + [dagger(g) for g in gens]
     onb = _orthonormal_rows(np.stack([vec(x) for x in mats]))
     for _ in range(max_rounds):
         cur = [unvec(row, d) for row in onb]

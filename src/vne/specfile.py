@@ -11,6 +11,7 @@ computations are byte-for-byte reproducible under a fixed seed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,14 @@ class SpecError(Exception):
 
 
 def _entry_to_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(p, (int, float)) for p in entry)):
-        return complex(entry[0], entry[1])
-    raise SpecError(f"{where}: matrix entries must be numbers or [re, im] pairs, got {entry!r}")
+    parts = (entry, 0) if isinstance(entry, (int, float)) else entry
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 2
+            and all(isinstance(p, (int, float)) for p in parts)):
+        raise SpecError(f"{where}: matrix entries must be numbers or [re, im] pairs, got {entry!r}")
+    # False for NaN, infinities and integers beyond the float range
+    if not all(abs(p) <= sys.float_info.max for p in parts):
+        raise SpecError(f"{where}: matrix entries must be finite, got {entry!r}")
+    return complex(parts[0], parts[1])
 
 
 def matrix_from_json(rows, where: str) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vne.algebra import (
+    MultiMatrixAlgebra,
     TraceWeight,
     algebra_from_blocks,
     ambient_trace,
@@ -218,16 +219,68 @@ class TestCommutant:
         assert c.blocks == ((4, 1),)
 
 
-class TestWedderburn:
-    def test_recovers_block_structure(self):
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+_E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+class TestValidate:
+    def test_rejects_basis_element_outside_blocks(self):
         a = algebra_from_blocks([(2, 1), (1, 2)])
-        rng = np.random.default_rng(7)
-        u = np.linalg.qr(rng.standard_normal((4, 4))
-                         + 1j * rng.standard_normal((4, 4)))[0]
-        span = [u @ b @ dagger(u) for b in a.basis]
-        w = wedderburn_decompose(span)
-        assert sorted(w.blocks) == sorted(a.blocks)
-        w.validate()
+        basis = np.concatenate([a.basis, [np.kron(_X, np.eye(2))]])
+        bad = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=basis,
+                                 isometries=a.isometries)
+        with pytest.raises(ValueError):
+            bad.validate()
+
+    def test_rejects_missing_basis_direction(self):
+        a = algebra_from_blocks([(2, 1), (1, 2)])
+        bad = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=a.basis[:-1],
+                                 isometries=a.isometries)
+        with pytest.raises(ValueError):
+            bad.validate()
+
+    def test_rejects_overlapping_isometries(self):
+        a = diagonal_subalgebra(2)
+        bad = MultiMatrixAlgebra(dim=2, blocks=a.blocks, basis=a.basis,
+                                 isometries=[a.isometries[0], a.isometries[0]])
+        with pytest.raises(ValueError):
+            bad.validate()
+
+
+class TestWedderburn:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: algebra_from_blocks([(2, 1), (1, 2)]), id="M2_M1x2"),
+        pytest.param(lambda: algebra_from_blocks([(1, 1), (1, 1), (2, 3)]), id="M1_M1_M2x3"),
+        pytest.param(lambda: algebra_from_blocks([(2, 2), (2, 1)]), id="M2x2_M2"),
+        pytest.param(lambda: tensor_algebra(full_matrix_algebra(2), full_matrix_algebra(2)),
+                     id="M2(x)M2"),
+    ])
+    def test_recovers_block_structure(self, make, seed):
+        a = make()
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((a.dim, a.dim))
+                         + 1j * rng.standard_normal((a.dim, a.dim)))[0]
+        span = np.stack([u @ b @ dagger(u) for b in a.basis])
+        conjugated = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=span,
+                                        isometries=[u @ v for v in a.isometries]).validate()
+        w = wedderburn_decompose(span, seed=seed)
+        assert w.blocks == tuple(sorted(a.blocks))
+        assert w.same_span(conjugated)
+        again = wedderburn_decompose(span, seed=seed)
+        assert all(np.array_equal(v, v2) for v, v2 in zip(w.isometries, again.isometries))
+
+    @pytest.mark.parametrize("span", [
+        pytest.param([np.eye(2), _X, _Z], id="1,X,Z"),
+        pytest.param([np.eye(2), _E01], id="1,E01"),
+        pytest.param([np.eye(3), np.pad(_X, ((0, 1), (0, 1)))], id="1_3,E01+E10"),
+        pytest.param([np.diag([1.0, 0.0])], id="diag(1,0)"),
+        pytest.param([np.kron(m, np.eye(2)) for m in (np.eye(2), _X, _Z)], id="(1,X,Z)(x)1_2"),
+    ])
+    def test_rejects_span_that_is_not_an_algebra(self, span):
+        with pytest.raises(ValueError):
+            wedderburn_decompose(span)
 
     def test_generated_algebra_closes_products(self):
         x = np.zeros((3, 3))

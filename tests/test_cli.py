@@ -172,6 +172,14 @@ class TestConfigErrors:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_finite_generator_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"version": 1, "algebras": {"g": {"ambient_dim": 2, '
+                       '"generators": [[[NaN, 0], [0, 1]]]}}}')
+        code, _, err = run_cli(capsys, "index", "x", "--spec", str(bad))
+        assert code == 2
+        assert "algebras.g.generators[0][0][0]: matrix entries must be finite" in err
+
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1, "algebras": {"a": {"kind": "weird"}}}')

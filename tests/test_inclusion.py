@@ -172,6 +172,11 @@ class TestDualExpectation:
         dual = dual_expectation(scalar_inclusion(2))
         assert abs(dual.scalar_index - 4.0) < 1e-6
 
+    def test_scalar_pairing_beyond_desk_scale(self):
+        # the commutant of the scalars on L^2(M_5) is M_25: L = 625 basis elements
+        dual = dual_expectation(scalar_inclusion(5))
+        assert abs(dual.scalar_index - 25.0) < 1e-6
+
     def test_commutant_block_structure(self):
         dual = dual_expectation(tensor_pair_inclusion(2, 2))
         # commutant of M_2 (x) 1 on L^2(M_4) is 8-dim multiplicity-2

@@ -58,6 +58,12 @@ class TestMatrixCodec:
         with pytest.raises(SpecError, match="re, im"):
             matrix_from_json([["x", 0], [0, 1]], "t")
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, [0.0, -math.inf], 10 ** 400],
+                             ids=["nan", "inf", "imag-minus-inf", "int-beyond-float"])
+    def test_rejects_non_finite_entry(self, entry):
+        with pytest.raises(SpecError, match=r"t\[1\]\[0\]: matrix entries must be finite"):
+            matrix_from_json([[1, 0], [entry, 1]], "t")
+
 
 class TestParsing:
     def test_minimal_document(self):
@@ -90,6 +96,17 @@ class TestParsing:
         }
         sf = parse(doc)
         assert sf.algebras["gen"].contains(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-308])
+    def test_generated_algebra_ignores_generator_scale(self, scale):
+        doc = minimal_doc()
+        doc["algebras"]["gen"] = {
+            "ambient_dim": 2,
+            "generators": [[[0, scale], [scale, 0]]],
+        }
+        gen = parse(doc).algebras["gen"]
+        assert gen.blocks == ((1, 1), (1, 1))
+        assert gen.contains(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_unresolved_trace_reference(self):
         doc = minimal_doc()
