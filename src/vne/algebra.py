@@ -1,14 +1,16 @@
 """Multi-matrix von Neumann algebras acting on a finite-dimensional space.
 
-An algebra is stored as a spanning basis of ambient D x D matrices together
-with its block structure: unitary isometries V_k identifying the algebra
-with a direct sum of M_{n_k} tensor 1_{m_k} summands.  Faithful traces are
+An algebra is its block structure: isometries V_k identifying it with a
+direct sum of M_{n_k} tensor 1_{m_k} summands.  Projections, components and
+membership go through one change of coordinates, the unitary
+W = [V_1 ... V_K]; no spanning set is stored.  Faithful traces are
 per-block weight vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,15 +33,6 @@ def _null_columns(a: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
     return vh[s <= tol].conj().T
 
 
-def vec(x):
-    """Row-major vectorization; vec(a x b) = (a kron b^T) vec(x)."""
-    return np.asarray(x, dtype=complex).ravel()
-
-
-def unvec(v, d):
-    return np.asarray(v, dtype=complex).reshape(d, d)
-
-
 def _orthonormal_rows(mat, tol=1e-10):
     """Orthonormal basis of the row space, via SVD."""
     mat = np.asarray(mat, dtype=complex)
@@ -52,23 +45,63 @@ def _orthonormal_rows(mat, tol=1e-10):
 
 @dataclass(eq=False)
 class MultiMatrixAlgebra:
-    """A *-closed unital algebra of D x D matrices with known block structure.
+    """A *-closed unital algebra of D x D matrices, given by its blocks.
 
     blocks lists (n_k, m_k): summand k is a full n_k x n_k matrix algebra
     represented with multiplicity m_k.  isometries[k] is the D x (n_k m_k)
-    isometry under which members compress to x_k tensor 1_{m_k}.
+    isometry under which members compress to x_k tensor 1_{m_k}.  The algebra
+    is sum_k V_k (M_{n_k} (x) 1_{m_k}) V_k*; no spanning set is stored.
     """
 
     dim: int
     blocks: tuple
-    basis: np.ndarray
     isometries: list
-    _onb: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self._onb is None:
-            rows = np.stack([vec(b) for b in self.basis])
-            self._onb = _orthonormal_rows(rows)
+    # -- block coordinates --------------------------------------------------
+
+    @cached_property
+    def _frame(self):
+        """(W, W*) for the D x D unitary W = [V_1 ... V_K]."""
+        w = np.concatenate(self.isometries, axis=1)
+        return w, dagger(w)
+
+    @cached_property
+    def _slices(self):
+        out, offset = [], 0
+        for n, m in self.blocks:
+            out.append(slice(offset, offset + n * m))
+            offset += n * m
+        return out
+
+    def _coordinates(self, x):
+        """y = W* x W, in which members are block diagonal with blocks c_k (x) 1_{m_k}."""
+        w, wh = self._frame
+        return wh @ np.asarray(x, dtype=complex) @ w
+
+    def _reduce(self, y, k):
+        """The n_k x n_k component of a block-k coordinate slice, averaged over multiplicity."""
+        n, m = self.blocks[k]
+        if m == 1:
+            return y
+        return np.trace(y.reshape(n, m, n, m), axis1=1, axis2=3) / m
+
+    def _diagonal(self, y):
+        return [self._reduce(y[s, s], k) for k, s in enumerate(self._slices)]
+
+    def _lift(self, comps):
+        """Block coordinates of the member with components comps: (+)_k c_k (x) 1_{m_k}."""
+        if len(comps) != len(self.blocks):
+            raise ValueError(f"expected {len(self.blocks)} block components, got {len(comps)}")
+        y = np.zeros((self.dim, self.dim), dtype=complex)
+        for (n, m), s, c in zip(self.blocks, self._slices, comps):
+            c = np.asarray(c)
+            if c.shape != (n, n):
+                raise ValueError(f"block component of shape {c.shape}, expected {(n, n)}")
+            if m == 1:
+                y[s, s] = c
+            else:
+                y[s, s] = (c[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(n * m, n * m)
+        return y
 
     # -- linear structure -------------------------------------------------
 
@@ -80,11 +113,12 @@ class MultiMatrixAlgebra:
         return np.eye(self.dim, dtype=complex)
 
     def project(self, x):
-        """Orthogonal projection of an ambient matrix onto the span."""
-        return _span_project(self._onb, x, self.dim)
+        """Hilbert-Schmidt orthogonal projection of an ambient matrix onto the algebra."""
+        return self.embed(self.block_components(x))
 
     def membership_residual(self, x) -> float:
-        return frob(x - self.project(x)) / max(1.0, frob(x))
+        y = self._coordinates(x)
+        return frob(y - self._lift(self._diagonal(y))) / max(1.0, frob(x))
 
     def contains(self, x, tol: float = SPAN_TOL) -> bool:
         return self.membership_residual(x) <= tol
@@ -95,31 +129,24 @@ class MultiMatrixAlgebra:
             raise ValueError(f"{what} lies outside the algebra span (residual {r:.3e})")
 
     def same_span(self, other, tol: float = 1e-8) -> bool:
-        if self.dim != other.dim or self._onb.shape != other._onb.shape:
+        if self.dim != other.dim or self.dim_linear != other.dim_linear:
             return False
-        p = dagger(self._onb) @ self._onb
-        q = dagger(other._onb) @ other._onb
-        return frob(p - q) <= tol
+        return all(self.membership_residual(u) <= tol for u in other.generating_units())
 
     # -- block structure --------------------------------------------------
 
     def block_component(self, x, k):
         """The n_k x n_k component of a member, averaged over multiplicity."""
-        n, m = self.blocks[k]
         v = self.isometries[k]
-        y = (dagger(v) @ np.asarray(x, dtype=complex) @ v).reshape(n, m, n, m)
-        return np.trace(y, axis1=1, axis2=3) / m
+        return self._reduce(dagger(v) @ np.asarray(x, dtype=complex) @ v, k)
 
     def block_components(self, x):
-        return [self.block_component(x, k) for k in range(len(self.blocks))]
+        return self._diagonal(self._coordinates(x))
 
     def embed(self, comps):
         """Assemble an ambient member from per-block n_k x n_k components."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, (n, m) in enumerate(self.blocks):
-            v = self.isometries[k]
-            out += v @ np.kron(np.asarray(comps[k], dtype=complex), np.eye(m)) @ dagger(v)
-        return out
+        w, wh = self._frame
+        return w @ self._lift(comps) @ wh
 
     def central_projection(self, k):
         v = self.isometries[k]
@@ -130,11 +157,15 @@ class MultiMatrixAlgebra:
         return self.matrix_unit(k, 0, 0)
 
     def matrix_unit(self, k, i, j):
-        n, m = self.blocks[k]
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = 1.0
+        """V_k (e_ij (x) 1_{m_k}) V_k*; the columns of V_k are ordered (i, alpha)."""
+        m = self.blocks[k][1]
         v = self.isometries[k]
-        return v @ np.kron(e, np.eye(m)) @ dagger(v)
+        return v[:, i * m:(i + 1) * m] @ dagger(v[:, j * m:(j + 1) * m])
+
+    def generating_units(self):
+        """e_00 and e_{i,i+1} of every block: they generate the algebra as a *-algebra."""
+        return [self.matrix_unit(k, i, j) for k, (n, _) in enumerate(self.blocks)
+                for i, j in [(0, 0)] + [(a, a + 1) for a in range(n - 1)]]
 
     def canonical_basis(self):
         """Matrix-unit basis derived from the block isometries."""
@@ -165,27 +196,18 @@ class MultiMatrixAlgebra:
 
     # -- structural validation --------------------------------------------
 
-    def validate(self, tol: float = SPAN_TOL):
-        """Certify that the span is the algebra its blocks describe; raises on violation.
+    def validate(self):
+        """Certify the block data; raises on violation.
 
-        The blocks partition the ambient space, the concatenated isometries W
-        satisfy W*W = 1, every basis element is rebuilt from its block
-        components and the span has rank sum_k n_k^2.  Together these give
-        span = sum_k V_k (M_{n_k} (x) 1) V_k*, which contains 1 and is closed
-        under adjoints and products.
+        The blocks partition the ambient space and the concatenated
+        isometries W satisfy W*W = 1, so sum_k V_k (M_{n_k} (x) 1) V_k* is a
+        unital *-algebra of dimension sum_k n_k^2.
         """
         if sum(n * m for n, m in self.blocks) != self.dim:
             raise ValueError("block dimensions do not partition the ambient space")
         w = np.concatenate(self.isometries, axis=1)
         if frob(dagger(w) @ w - np.eye(self.dim)) > 1e-8:
             raise ValueError("block isometries are not jointly orthonormal")
-        worst = max(frob(self.embed(self.block_components(b)) - b) / max(1.0, frob(b))
-                    for b in self.basis)
-        if worst > tol:
-            raise ValueError(f"span leaves the block algebra (reconstruction residual {worst:.3e})")
-        if self._onb.shape[0] != self.dim_linear:
-            raise ValueError(f"span has rank {self._onb.shape[0]} but the blocks "
-                             f"need {self.dim_linear}")
         return self
 
 
@@ -195,21 +217,16 @@ class MultiMatrixAlgebra:
 def algebra_from_blocks(blocks) -> MultiMatrixAlgebra:
     """Canonical block-diagonal model: ambient = direct sum of C^{n_k} (x) C^{m_k}."""
     blocks = tuple((int(n), int(m)) for n, m in blocks)
+    if not blocks or min(min(b) for b in blocks) < 1:
+        raise ValueError(f"blocks must be a nonempty list of positive (n, m), got {blocks}")
     dim = sum(n * m for n, m in blocks)
+    eye = np.eye(dim, dtype=complex)
     isometries = []
-    basis = []
     offset = 0
     for n, m in blocks:
-        v = np.zeros((dim, n * m), dtype=complex)
-        v[offset:offset + n * m, :] = np.eye(n * m)
-        isometries.append(v)
+        isometries.append(eye[:, offset:offset + n * m].copy())
         offset += n * m
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1.0
-                basis.append(v @ np.kron(e, np.eye(m)) @ dagger(v))
-    return MultiMatrixAlgebra(dim=dim, blocks=blocks, basis=np.stack(basis), isometries=isometries)
+    return MultiMatrixAlgebra(dim=dim, blocks=blocks, isometries=isometries)
 
 
 def full_matrix_algebra(n: int) -> MultiMatrixAlgebra:
@@ -219,51 +236,24 @@ def full_matrix_algebra(n: int) -> MultiMatrixAlgebra:
 
 def scalar_subalgebra(dim: int) -> MultiMatrixAlgebra:
     """C * identity inside M_dim."""
-    return MultiMatrixAlgebra(
-        dim=dim, blocks=((1, dim),),
-        basis=np.eye(dim, dtype=complex)[None, :, :],
-        isometries=[np.eye(dim, dtype=complex)])
+    return algebra_from_blocks([(1, dim)])
 
 
 def diagonal_subalgebra(dim: int) -> MultiMatrixAlgebra:
     """The diagonal masa inside M_dim."""
-    basis = np.stack([np.diag(np.eye(dim, dtype=complex)[i]) for i in range(dim)])
-    isometries = [np.eye(dim, dtype=complex)[:, [i]] for i in range(dim)]
-    return MultiMatrixAlgebra(dim=dim, blocks=tuple((1, 1) for _ in range(dim)),
-                              basis=basis, isometries=isometries)
-
-
-def _tensor_swap(p: int, q: int):
-    """Permutation matrix sending e_i (x) f_j in C^q (x) C^p to f_j (x) e_i."""
-    s = np.zeros((p * q, p * q), dtype=complex)
-    for i in range(q):
-        for j in range(p):
-            s[j * q + i, i * p + j] = 1.0
-    return s
+    return algebra_from_blocks([(1, 1)] * dim)
 
 
 def tensor_left_subalgebra(p: int, q: int) -> MultiMatrixAlgebra:
     """M_p tensor 1_q inside M_{pq}."""
-    iso = np.eye(p * q, dtype=complex)
-    basis = []
-    for i in range(p):
-        for j in range(p):
-            e = np.zeros((p, p), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(np.kron(e, np.eye(q)))
-    return MultiMatrixAlgebra(dim=p * q, blocks=((p, q),), basis=np.stack(basis), isometries=[iso])
+    return algebra_from_blocks([(p, q)])
 
 
 def tensor_right_subalgebra(p: int, q: int) -> MultiMatrixAlgebra:
     """1_p tensor M_q inside M_{pq}."""
-    basis = []
-    for i in range(q):
-        for j in range(q):
-            e = np.zeros((q, q), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(np.kron(np.eye(p), e))
-    return MultiMatrixAlgebra(dim=p * q, blocks=((q, p),), basis=np.stack(basis),
-                              isometries=[_tensor_swap(p, q)])
+    # column (i, j) of the isometry is e_j (x) f_i: the swap of C^q (x) C^p onto C^p (x) C^q
+    swap = np.eye(p * q, dtype=complex)[:, np.arange(p * q).reshape(p, q).T.ravel()]
+    return MultiMatrixAlgebra(dim=p * q, blocks=((q, p),), isometries=[swap])
 
 
 def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixAlgebra:
@@ -274,20 +264,10 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra) -> MultiMatrixA
     for (na, ma), va in zip(a.blocks, a.isometries):
         for (nb, mb), vb in zip(b.blocks, b.isometries):
             blocks.append((na * nb, ma * mb))
-            v = np.kron(va, vb)
-            # reorder (na, ma, nb, mb) -> (na, nb, ma, mb) on the small side
-            perm = np.zeros((na * ma * nb * mb, na * nb * ma * mb), dtype=complex)
-            idx = 0
-            for i in range(na):
-                for x in range(ma):
-                    for j in range(nb):
-                        for y in range(mb):
-                            col = ((i * nb + j) * ma + x) * mb + y
-                            perm[idx, col] = 1.0
-                            idx += 1
-            isometries.append(v @ perm)
-    basis = np.stack([np.kron(x, y) for x in a.basis for y in b.basis])
-    return MultiMatrixAlgebra(dim=dim, blocks=tuple(blocks), basis=basis, isometries=isometries)
+            # reorder the columns (na, ma, nb, mb) -> (na, nb, ma, mb)
+            v = np.kron(va, vb).reshape(dim, na, ma, nb, mb).transpose(0, 1, 3, 2, 4)
+            isometries.append(v.reshape(dim, -1))
+    return MultiMatrixAlgebra(dim=dim, blocks=tuple(blocks), isometries=isometries)
 
 
 # -- trace weights ----------------------------------------------------------
@@ -310,8 +290,8 @@ class TraceWeight:
         self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != len(self.algebra.blocks):
             raise ValueError("one weight per block required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError(f"trace weights must be positive, got {self.weights}")
+        if not all(np.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError(f"trace weights must be positive and finite, got {self.weights}")
         t = sum((w / m) * self.algebra.central_projection(k)
                 for k, (w, (_, m)) in enumerate(zip(self.weights, self.algebra.blocks)))
         # exactly Hermitian, so that value() may pair through np.vdot
@@ -351,8 +331,8 @@ class TraceWeight:
         Block k of rho is m_k * block_component(t, k) / weight_k.
         """
         alg = self.algebra
-        return alg.embed([m * alg.block_component(t, k) / w
-                          for k, (w, (_, m)) in enumerate(zip(self.weights, alg.blocks))])
+        return alg.embed([m * c / w for c, w, (_, m)
+                          in zip(alg.block_components(t), self.weights, alg.blocks)])
 
 
 def normalized_trace(algebra: MultiMatrixAlgebra) -> TraceWeight:
@@ -385,9 +365,9 @@ def commutant(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra
     ns = _null_columns(stacked)
     if ns.shape[1] == 0:
         raise ValueError("commutant computation produced an empty span")
-    span = np.stack([unvec(ns[:, j], d) for j in range(ns.shape[1])])
+    span = ns.T.reshape(-1, d, d)
     alg = wedderburn_decompose(span, seed=seed)
-    worst = max(frob(g @ b - b @ g) for g in gens for b in alg.basis)
+    worst = max(frob(g @ b - b @ g) for g in gens for b in alg.canonical_basis())
     if worst > 1e-10 * max(1.0, max(frob(g) for g in gens)):
         raise ArithmeticError(f"commutant residual {worst:.3e} exceeds 1e-10")
     return alg
@@ -408,11 +388,6 @@ def _cluster(values, tol):
     return [np.array(g, dtype=int) for g in groups]
 
 
-def _span_project(onb, x, d):
-    coords = np.conj(onb) @ vec(x)
-    return unvec(coords @ onb, d)
-
-
 def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMatrixAlgebra:
     """Block decomposition of a numerically closed *-algebra span.
 
@@ -420,15 +395,17 @@ def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMat
     Hermitian member are the ranges of the minimal projections; a generic
     member b couples two of them (E_i* b E_j != 0) exactly when they lie in
     the same summand, and the polar parts of those couplings give the matrix
-    units.  validate() then certifies the result, so a span that is not a
-    *-algebra raises ValueError.
+    units.  The result is certified against the input: every span element is
+    rebuilt from its block components and the span has rank sum_k n_k^2, so
+    a span that is not a *-algebra raises ValueError.
     """
     span = np.stack([np.asarray(b, dtype=complex) for b in span])
     d = span.shape[1]
     onb = _orthonormal_rows(span.reshape(len(span), -1))
 
     def residual(x):
-        return frob(x - _span_project(onb, x, d)) / max(1.0, frob(x))
+        r = np.ravel(x)
+        return frob(r - (np.conj(onb) @ r) @ onb) / max(1.0, frob(x))
 
     if residual(np.eye(d)) > tol:
         raise ValueError("span does not contain the identity")
@@ -466,9 +443,12 @@ def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMat
     order = sorted(range(len(blocks)), key=lambda k: (blocks[k][0], blocks[k][1], k))
     blocks = tuple(blocks[k] for k in order)
     isometries = [isometries[k] for k in order]
-    alg = MultiMatrixAlgebra(dim=d, blocks=blocks, basis=span, isometries=isometries, _onb=onb)
-    alg.validate(tol)
-    alg.basis = alg.canonical_basis()
+    alg = MultiMatrixAlgebra(dim=d, blocks=blocks, isometries=isometries).validate()
+    worst = max(alg.membership_residual(x) for x in span)
+    if worst > tol:
+        raise ValueError(f"span leaves the block algebra (reconstruction residual {worst:.3e})")
+    if onb.shape[0] != alg.dim_linear:
+        raise ValueError(f"span has rank {onb.shape[0]} but the blocks need {alg.dim_linear}")
     return alg
 
 
@@ -481,15 +461,14 @@ def generated_algebra(generators, ambient_dim: int, seed: int = 0, max_rounds: i
     gens = [g / max(np.abs(g.real).max(), np.abs(g.imag).max()) if np.any(g) else g
             for g in gens]
     mats = [np.eye(d, dtype=complex)] + gens + [dagger(g) for g in gens]
-    onb = _orthonormal_rows(np.stack([vec(x) for x in mats]))
+    onb = _orthonormal_rows(np.stack(mats).reshape(len(mats), -1))
     for _ in range(max_rounds):
-        cur = [unvec(row, d) for row in onb]
-        prods = [a @ b for a in cur for b in cur]
-        new = _orthonormal_rows(np.concatenate([onb, np.stack([vec(p) for p in prods])]))
+        cur = onb.reshape(-1, d, d)
+        prods = np.stack([a @ b for a in cur for b in cur])
+        new = _orthonormal_rows(np.concatenate([onb, prods.reshape(len(prods), -1)]))
         if new.shape[0] == onb.shape[0]:
             break
         onb = new
     else:
         raise ArithmeticError("generated span failed to stabilize")
-    span = np.stack([unvec(row, d) for row in onb])
-    return wedderburn_decompose(span, seed=seed)
+    return wedderburn_decompose(onb.reshape(-1, d, d), seed=seed)

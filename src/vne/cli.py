@@ -3,8 +3,8 @@
 Subcommands: entropy, relent, index, verify, maximize. Exit code 0 means the
 requested computation ran (and, for verify, every suite passed); 1 means a
 verification suite violated its tolerance; 2 means the spec or the invocation
-was malformed. Human-readable text goes to stdout and never carries pass/fail
-semantics; reports and exit codes do.
+was malformed, or the computation ran out of memory. Human-readable text goes
+to stdout and never carries pass/fail semantics; reports and exit codes do.
 """
 
 from __future__ import annotations
@@ -236,6 +236,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](spec, args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 is reserved for a suite that violated its tolerance
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
 
 

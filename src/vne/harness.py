@@ -426,8 +426,8 @@ def _setup_subspace_props(seed):
         "tau": normalized_trace(alg),
         "chain": [
             [alg.identity()],
-            list(diagonal_subalgebra(2).basis),
-            list(alg.basis),
+            list(diagonal_subalgebra(2).canonical_basis()),
+            list(alg.canonical_basis()),
         ],
     }
 

@@ -25,8 +25,6 @@ from .algebra import (
     diagonal_subalgebra,
     tensor_algebra,
     tensor_left_subalgebra,
-    unvec,
-    vec,
     wedderburn_decompose,
 )
 from .linalg import dagger, frob, herm_eig
@@ -63,25 +61,29 @@ __all__ = [
 class Inclusion:
     """A unital inclusion sub <= ambient carrying the trace expectation.
 
-    superop is the matrix of eps acting on row-major vectorized ambient
-    matrices; eps is only meaningful on members of the ambient algebra.
+    eps(x) is the member of sub representing x -> tau(x .) on sub, which in
+    block form is (+)_l V_l (Tr_{m_l}(V_l* T x V_l) / s_l (x) 1) V_l* for the
+    ambient density T and the restricted weights s_l.  It is defined on every
+    ambient matrix but only meaningful on members of the ambient algebra.
     """
 
     ambient: MultiMatrixAlgebra
     sub: MultiMatrixAlgebra
     tau: TraceWeight
-    superop: np.ndarray
     bipartite: tuple[int, int] | None = None
     _sub_trace: TraceWeight | None = field(default=None, repr=False)
     _index: "IndexReport | None" = field(default=None, repr=False)
     _dual: "DualExpectation | None" = field(default=None, repr=False)
 
     def apply(self, x) -> np.ndarray:
-        return unvec(self.superop @ vec(np.asarray(x, dtype=complex)), self.ambient.dim)
+        return self.sub_trace.density(self.tau.ambient_density @ x)
 
-    def adjoint_apply(self, x) -> np.ndarray:
-        """Adjoint of eps for the unweighted Hilbert-Schmidt pairing."""
-        return unvec(dagger(self.superop) @ vec(np.asarray(x, dtype=complex)), self.ambient.dim)
+    def adjoint_apply(self, y) -> np.ndarray:
+        """Adjoint of eps for the unweighted Hilbert-Schmidt pairing: y -> T rho_sub(y).
+
+        rho_sub is sub_trace.density, which is self-adjoint for that pairing.
+        """
+        return self.tau.ambient_density @ self.sub_trace.density(y)
 
     @property
     def sub_trace(self) -> TraceWeight:
@@ -130,28 +132,20 @@ def trace_expectation(
 ) -> Inclusion:
     """The tau-preserving conditional expectation of ambient onto sub.
 
-    eps(x) is the tau-orthogonal projection of x onto the span of sub, which
-    for a subalgebra is automatically unital, positive, a sub-bimodule map,
-    and trace preserving; all four are verified on construction.
+    eps(x) is the tau-orthogonal projection of x onto sub, which for a
+    subalgebra is automatically unital, idempotent, positive, a sub-bimodule
+    map, and trace preserving; all five are verified on construction.
     """
     if tau.algebra is not ambient and not tau.algebra.same_span(ambient):
         raise ValueError("trace is not defined on the ambient algebra")
-    for b in sub.basis:
-        ambient.require_member(b, what="subalgebra basis element")
-    d = ambient.dim
-    basis = [np.asarray(b, dtype=complex) for b in sub.basis]
-    bmat = np.stack([vec(b) for b in basis])            # (nb, d^2)
-    wmat = np.stack([vec(b @ tau.ambient_density) for b in basis])
-    gram = bmat.conj() @ wmat.T                         # tau(b_i* b_j)
-    superop = bmat.T @ np.linalg.solve(gram, wmat.conj())
-    inc = Inclusion(ambient, sub, tau, superop, bipartite=bipartite)
+    for u in sub.generating_units():
+        ambient.require_member(u, what="subalgebra generator")
+    inc = Inclusion(ambient, sub, tau, bipartite=bipartite)
 
     if check:
         eye = ambient.identity()
-        if frob(inc.apply(eye) - eye) > 1e-10 * math.sqrt(d):
+        if frob(inc.apply(eye) - eye) > 1e-10 * math.sqrt(ambient.dim):
             raise ArithmeticError("expectation is not unital")
-        if frob(superop @ superop - superop) > 1e-9 * max(1.0, frob(superop)):
-            raise ArithmeticError("expectation is not idempotent")
         rng = np.random.default_rng(seed)
         for _ in range(4):
             x = _random_member(ambient, rng)
@@ -159,6 +153,8 @@ def trace_expectation(
             scale = max(1.0, frob(x))
             if sub.membership_residual(ex) > 1e-9 * scale:
                 raise ArithmeticError("expectation leaves the subalgebra")
+            if frob(inc.apply(ex) - ex) > 1e-9 * scale:
+                raise ArithmeticError("expectation is not idempotent")
             if abs(tau.value(ex) - tau.value(x)) > 1e-10 * scale:
                 raise ArithmeticError("expectation does not preserve the trace")
             b1, b2 = sub.random_hermitian(rng), sub.random_hermitian(rng)
@@ -211,7 +207,7 @@ def _block_frame(inc: Inclusion, k: int, u: np.ndarray) -> np.ndarray:
     # isometry onto the range of the projection embedding uu* tensor 1_m
     n, m = inc.ambient.blocks[k]
     v = inc.ambient.isometries[k]
-    return v @ np.kron(u.reshape(n, 1), np.eye(m))
+    return v @ (u[:, None, None] * np.eye(m)).reshape(n * m, m)
 
 
 def _pp_value(inc: Inclusion, k: int, u: np.ndarray):
@@ -452,13 +448,12 @@ class DualExpectation:
 def dual_expectation(inc: Inclusion, seed: int = 3) -> DualExpectation:
     form = StandardForm(inc.ambient, inc.tau)
     hs = form.hs_dim
-    sub_left = [form.left_matrix(b) for b in inc.sub.basis]
+    # the commutant of the generating units is the commutant of lambda(B)
+    sub_left = [form.left_matrix(u) for u in inc.sub.generating_units()]
     bprime = commutant(sub_left, hs, seed=seed)
     aprime = wedderburn_decompose(
-        np.stack([form.right_matrix(b) for b in inc.ambient.basis]), seed=seed
+        np.stack([form.right_matrix(b) for b in inc.ambient.canonical_basis()]), seed=seed
     )
-    for b in aprime.basis:
-        bprime.require_member(b, what="ambient commutant element")
     tau_prime = ambient_trace(bprime)
     eps_prime = trace_expectation(bprime, aprime, tau_prime, seed=seed)
 
@@ -627,8 +622,6 @@ def tower_gap_formula(pairs, tau: TraceWeight, phi: State,
     for alg, sub in pairs:
         if len(alg.blocks) != 1 or len(sub.blocks) != 1:
             raise ValueError("tower levels must be factors")
-        for b in sub.basis:
-            alg.require_member(b, what="tower subalgebra element")
         tau_i = tau if alg is top else tau.restricted_to(alg)
         incs.append(trace_expectation(alg, sub, tau_i))
         states.append(phi if alg is top else restrict(phi, alg))

@@ -91,7 +91,7 @@ class StandardForm:
 
     def subspace_projection(self, sub: MultiMatrixAlgebra) -> np.ndarray:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""
-        rows = np.stack([self.vectorize(b) for b in sub.basis])
+        rows = np.stack([self.vectorize(b) for b in sub.canonical_basis()])
         u, s, vh = np.linalg.svd(rows, full_matrices=False)
         rank = int(np.sum(s > 1e-10 * s[0]))
         vh = vh[:rank]
@@ -198,7 +198,7 @@ def kosaki_eval(phi: State, psi: State, subspace=None, grid: KosakiGrid | None =
     (nested breakpoints), enlargement of V, and decrease of psi.
     """
     _check_same_algebra(phi, psi)
-    span = list(subspace) if subspace is not None else list(phi.algebra.basis)
+    span = list(subspace) if subspace is not None else list(phi.algebra.canonical_basis())
     basis = [np.asarray(v, dtype=complex) for v in span]
     dim = phi.algebra.dim
     eye = np.eye(dim, dtype=complex)

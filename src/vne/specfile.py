@@ -238,6 +238,9 @@ def _parse_state(name: str, entry, algebras: dict, traces: dict, canon: dict) ->
             raise SpecError(f"{where}: density is for single-block algebras; "
                             f"use density_blocks here")
         comp = matrix_from_json(entry["density"], f"{where}.density")
+        n = alg.blocks[0][0]
+        if comp.shape != (n, n):
+            raise SpecError(f"{where}.density: expected {n}x{n}")
         canon[name] = {**head, "density": matrix_to_json(comp)}
         return _build_state(alg, tau, alg.embed([comp]), where)
     if "density_blocks" in entry:

@@ -1,5 +1,8 @@
 """Multi-matrix algebras, trace weights, commutants, structure recovery."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from vne.algebra import (
     wedderburn_decompose,
 )
 from vne.linalg import dagger, frob
+from vne.states import maximally_mixed
 
 
 class TestConstructors:
@@ -71,6 +75,23 @@ class TestConstructors:
             algebra_from_blocks([(0, 1)])
 
 
+class TestSize:
+    def test_full_matrix_algebra_120_needs_no_span(self):
+        # a stored span of M_120 would hold 120^4 complex entries (3.3 GB)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            a = full_matrix_algebra(120)
+            phi = maximally_mixed(a, normalized_trace(a))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(phi.mass - 1.0) < 1e-12
+        assert elapsed < 1.0
+        assert peak < 8 * 2 ** 20
+
+
 class TestBlockStructure:
     def test_embed_component_roundtrip(self):
         a = algebra_from_blocks([(2, 2), (1, 3)])
@@ -81,6 +102,15 @@ class TestBlockStructure:
         back = a.block_components(x)
         for c, b in zip(comps, back):
             assert frob(c - b) < 1e-12
+
+    def test_embed_rejects_wrong_components(self):
+        a = algebra_from_blocks([(2, 2), (1, 3)])
+        with pytest.raises(ValueError, match="expected 2 block components"):
+            a.embed([np.eye(2)])
+        with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(2, 2\)"):
+            a.embed([np.eye(1), np.eye(1)])
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(1, 1\)"):
+            a.embed([np.eye(2), np.eye(2)])
 
     def test_matrix_units_multiply(self):
         a = algebra_from_blocks([(2, 2)])
@@ -109,6 +139,46 @@ class TestBlockStructure:
         once = a.project(x)
         assert frob(a.project(once) - once) < 1e-10
         assert a.contains(once)
+
+
+def span_projection(span, x):
+    """Reference route: Hilbert-Schmidt projection onto a span through its SVD row basis."""
+    rows = np.asarray(span, dtype=complex).reshape(len(span), -1)
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    onb = vh[s > 1e-10 * s[0]]
+    return ((onb.conj() @ x.ravel()) @ onb).reshape(x.shape)
+
+
+def _turned(a, seed):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((a.dim, a.dim))
+                     + 1j * rng.standard_normal((a.dim, a.dim)))[0]
+    return MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks,
+                              isometries=[u @ v for v in a.isometries]).validate()
+
+
+class TestProjectAgainstSpan:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: algebra_from_blocks([(2, 1), (1, 2), (2, 2)]), id="M2+M1x2+M2x2"),
+        pytest.param(lambda: _turned(algebra_from_blocks([(2, 1), (1, 2), (2, 2)]), 3),
+                     id="turned-M2+M1x2+M2x2"),
+        pytest.param(lambda: tensor_right_subalgebra(2, 3), id="1(x)M3"),
+        pytest.param(lambda: tensor_left_subalgebra(3, 3), id="M3(x)1"),
+        pytest.param(lambda: tensor_algebra(algebra_from_blocks([(1, 2), (2, 1)]),
+                                            tensor_right_subalgebra(2, 2)), id="tensor-with-multiplicity"),
+    ])
+    def test_project_matches_span_route(self, make):
+        a = make()
+        rng = np.random.default_rng(21)
+        members = [_random_member(a, rng) for _ in range(3)]
+        others = [rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim))
+                  for _ in range(3)]
+        span = a.canonical_basis()
+        for x in members + others:
+            ref = span_projection(span, x)
+            assert frob(a.project(x) - ref) < 1e-13 * max(1.0, frob(x))
+            resid = frob(x - ref) / max(1.0, frob(x))
+            assert abs(a.membership_residual(x) - resid) < 1e-13
 
 
 class TestTraceWeight:
@@ -211,7 +281,7 @@ class TestCommutant:
 
     def test_commutant_of_full_algebra_is_scalars(self):
         a = full_matrix_algebra(3)
-        c = commutant(list(a.basis), 3)
+        c = commutant(list(a.canonical_basis()), 3)
         assert c.blocks == ((1, 3),)
 
     def test_commutant_of_scalars_is_everything(self):
@@ -227,22 +297,18 @@ _E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
 class TestValidate:
     def test_rejects_basis_element_outside_blocks(self):
         a = algebra_from_blocks([(2, 1), (1, 2)])
-        basis = np.concatenate([a.basis, [np.kron(_X, np.eye(2))]])
-        bad = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=basis,
-                                 isometries=a.isometries)
+        span = np.concatenate([a.canonical_basis(), [np.kron(_X, np.eye(2))]])
         with pytest.raises(ValueError):
-            bad.validate()
+            wedderburn_decompose(span)
 
     def test_rejects_missing_basis_direction(self):
         a = algebra_from_blocks([(2, 1), (1, 2)])
-        bad = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=a.basis[:-1],
-                                 isometries=a.isometries)
         with pytest.raises(ValueError):
-            bad.validate()
+            wedderburn_decompose(a.canonical_basis()[:-1])
 
     def test_rejects_overlapping_isometries(self):
         a = diagonal_subalgebra(2)
-        bad = MultiMatrixAlgebra(dim=2, blocks=a.blocks, basis=a.basis,
+        bad = MultiMatrixAlgebra(dim=2, blocks=a.blocks,
                                  isometries=[a.isometries[0], a.isometries[0]])
         with pytest.raises(ValueError):
             bad.validate()
@@ -262,8 +328,8 @@ class TestWedderburn:
         rng = np.random.default_rng(seed)
         u = np.linalg.qr(rng.standard_normal((a.dim, a.dim))
                          + 1j * rng.standard_normal((a.dim, a.dim)))[0]
-        span = np.stack([u @ b @ dagger(u) for b in a.basis])
-        conjugated = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks, basis=span,
+        span = np.stack([u @ b @ dagger(u) for b in a.canonical_basis()])
+        conjugated = MultiMatrixAlgebra(dim=a.dim, blocks=a.blocks,
                                         isometries=[u @ v for v in a.isometries]).validate()
         w = wedderburn_decompose(span, seed=seed)
         assert w.blocks == tuple(sorted(a.blocks))

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from vne import cli
 from vne.cli import main
 
 SPEC = str(resources.files("vne").joinpath("data/desk.json"))
@@ -179,6 +180,33 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "index", "x", "--spec", str(bad))
         assert code == 2
         assert "algebras.g.generators[0][0][0]: matrix entries must be finite" in err
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_trace_weight_exits_2(self, capsys, tmp_path, weight):
+        bad = tmp_path / "weight.json"
+        bad.write_text('{"version": 1, "algebras": {"m2": {"kind": "full", "n": 2}}, '
+                       '"traces": {"t": {"algebra": "m2", "weights": [%s]}}}' % weight)
+        code, _, err = run_cli(capsys, "index", "x", "--spec", str(bad))
+        assert code == 2
+        assert "traces.t" in err and "finite" in err
+
+    def test_density_of_wrong_shape_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "density.json"
+        bad.write_text('{"version": 1, "algebras": {"m2": {"kind": "full", "n": 2}}, '
+                       '"traces": {"t": {"algebra": "m2", "weights": "normalized"}}, '
+                       '"states": {"s": {"algebra": "m2", "trace": "t", "density": [[1]]}}}')
+        code, _, err = run_cli(capsys, "index", "x", "--spec", str(bad))
+        assert code == 2
+        assert "states.s.density: expected 2x2" in err
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(spec, args):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setitem(cli._COMMANDS, "index", exhausted)
+        code, _, err = run_cli(capsys, "index", "m2-in-m4", "--spec", SPEC)
+        assert code == 2
+        assert "error: out of memory in index" in err
 
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vne.algebra import (
+    MultiMatrixAlgebra,
     TraceWeight,
     algebra_from_blocks,
     ambient_trace,
@@ -13,6 +14,7 @@ from vne.algebra import (
     normalized_trace,
     scalar_subalgebra,
     tensor_left_subalgebra,
+    tensor_right_subalgebra,
 )
 from vne.inclusion import (
     diagonal_inclusion,
@@ -97,6 +99,62 @@ class TestTraceExpectation:
         not_sub = full_matrix_algebra(3)
         with pytest.raises(ValueError):
             trace_expectation(a, not_sub, normalized_trace(a))
+
+
+def gram_superop(inc):
+    """Reference route: eps as a D^2 x D^2 matrix from a Gram solve over a sub basis.
+
+    eps(x) = sum_i c_i b_i with tau(b_j* eps(x)) = tau(b_j* x), written on
+    row-major vectorized matrices; its adjoint is the conjugate transpose.
+    """
+    basis = inc.sub.canonical_basis()
+    bmat = basis.reshape(len(basis), -1)
+    wmat = np.stack([(b @ inc.tau.ambient_density).ravel() for b in basis])
+    gram = bmat.conj() @ wmat.T
+    return bmat.T @ np.linalg.solve(gram, wmat.conj())
+
+
+def _three_block_inclusion():
+    # ambient M_2 + M_1 (x) 1_2 + M_2 with weights (0.3, 1.1, 0.6); the sub has
+    # blocks C e_0, C (e_1 + P_2) and the third summand, all turned by one unitary
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    eye = np.eye(6, dtype=complex)
+    amb = algebra_from_blocks([(2, 1), (1, 2), (2, 1)])
+    ambient = MultiMatrixAlgebra(dim=6, blocks=amb.blocks,
+                                 isometries=[u @ v for v in amb.isometries]).validate()
+    sub = MultiMatrixAlgebra(dim=6, blocks=((1, 1), (1, 3), (2, 1)),
+                             isometries=[u @ eye[:, :1], u @ eye[:, 1:4], u @ eye[:, 4:]]).validate()
+    return trace_expectation(ambient, sub, TraceWeight(ambient, (0.3, 1.1, 0.6)))
+
+
+class TestClosedFormAgainstGram:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: tensor_pair_inclusion(2, 2), id="M2(x)1<M4"),
+        pytest.param(lambda: tensor_pair_inclusion(2, 3), id="M2(x)1<M6"),
+        pytest.param(lambda: tensor_pair_inclusion(3, 2), id="M3(x)1<M6"),
+        pytest.param(lambda: tensor_pair_inclusion(2, 4), id="M2(x)1<M8"),
+        pytest.param(lambda: tensor_pair_inclusion(3, 3), id="M3(x)1<M9"),
+        pytest.param(_three_block_inclusion, id="three-block"),
+        pytest.param(lambda: trace_expectation(full_matrix_algebra(6), tensor_right_subalgebra(2, 3),
+                                               normalized_trace(full_matrix_algebra(6))),
+                     id="1(x)M3<M6"),
+        pytest.param(lambda: dual_expectation(tensor_pair_inclusion(2, 2)).expectation,
+                     id="dual-of-M2(x)1<M4"),
+    ])
+    def test_apply_and_adjoint_match_gram_route(self, make):
+        inc = make()
+        sop = gram_superop(inc)
+        d = inc.ambient.dim
+        rng = np.random.default_rng(8)
+        members = [inc.ambient.random_hermitian(rng) + 1j * inc.ambient.random_hermitian(rng)
+                   for _ in range(3)]
+        others = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for _ in range(3)]
+        for x in members + others:
+            scale = 1e-13 * max(1.0, frob(x))
+            assert frob(inc.apply(x) - (sop @ x.ravel()).reshape(d, d)) < scale
+            assert frob(inc.adjoint_apply(x) - (dagger(sop) @ x.ravel()).reshape(d, d)) < scale
 
 
 class TestIndexValues:

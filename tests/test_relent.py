@@ -183,9 +183,7 @@ class TestStandardForm:
     def test_overlapping_isometries_rejected(self):
         e0 = np.array([[1.0], [0.0]], dtype=complex)
         diag = (e0 + np.array([[0.0], [1.0]])) / math.sqrt(2.0)
-        alg = MultiMatrixAlgebra(dim=2, blocks=((1, 1), (1, 1)),
-                                 basis=np.stack([e0 @ dagger(e0), diag @ dagger(diag)]),
-                                 isometries=[e0, diag])
+        alg = MultiMatrixAlgebra(dim=2, blocks=((1, 1), (1, 1)), isometries=[e0, diag])
         with pytest.raises(ArithmeticError, match="orthonormality"):
             StandardForm(alg, TraceWeight(alg, (1.0, 1.0)))
 
@@ -235,7 +233,7 @@ class TestKosaki:
         phi = hs_state(a, tau, 9, floor=0.05)
         psi = hs_state(a, tau, 10, floor=0.05)
         v_scalar = kosaki_eval(phi, psi, subspace=[np.eye(2)])
-        v_diag = kosaki_eval(phi, psi, subspace=list(diagonal_subalgebra(2).basis))
+        v_diag = kosaki_eval(phi, psi, subspace=list(diagonal_subalgebra(2).canonical_basis()))
         v_full = kosaki_eval(phi, psi)
         assert v_scalar <= v_diag + 1e-12
         assert v_diag <= v_full + 1e-12

@@ -70,6 +70,13 @@ class TestParsing:
         sf = parse(minimal_doc())
         assert abs(s_tau(sf.state("flat"))) < 1e-12
 
+    def test_large_full_algebra(self):
+        doc = minimal_doc(algebras={"m2": {"kind": "full", "n": 2},
+                                    "m120": {"kind": "full", "n": 120}})
+        doc["traces"]["tau120"] = {"algebra": "m120", "weights": "normalized"}
+        sf = parse(doc)
+        assert sf.algebras["m120"].blocks == ((120, 1),)
+
     def test_version_required(self):
         with pytest.raises(SpecError, match="version"):
             parse({"algebras": {}})
