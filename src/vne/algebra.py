@@ -352,14 +352,16 @@ def commutant(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra
     """The commutant of a self-adjoint generating set inside M_ambient_dim.
 
     Computed as the joint nullspace of x -> g x - x g over the generators and
-    their adjoints, then structured by wedderburn_decompose.
+    their adjoints (one block for a generator equal to its adjoint), then
+    structured by wedderburn_decompose.
     """
     d = ambient_dim
     gens = [np.asarray(g, dtype=complex) for g in generators]
     rows = []
     eye = np.eye(d, dtype=complex)
     for g in gens:
-        for gg in (g, dagger(g)):
+        adjoint = dagger(g)
+        for gg in (g,) if np.array_equal(g, adjoint) else (g, adjoint):
             rows.append(np.kron(gg, eye) - np.kron(eye, gg.T))
     stacked = np.concatenate(rows, axis=0)
     ns = _null_columns(stacked)

@@ -95,7 +95,7 @@ class Inclusion:
         """phi restricted to the subalgebra; density is eps(rho)."""
         if phi.algebra is not self.ambient and not self.ambient.same_span(phi.algebra):
             raise ValueError("state does not live on the ambient algebra")
-        if not np.allclose(phi.tau.weights, self.tau.weights):
+        if phi.tau.weights != self.tau.weights:
             raise ValueError("state trace disagrees with the inclusion trace")
         rho = self.apply(phi.rho)
         rho = 0.5 * (rho + dagger(rho))

@@ -52,6 +52,37 @@ class EigenSystem:
         w, v = self.eigenvalues, self.eigenvectors
         return (v * w) @ dagger(v)
 
+    def apply(self, f, support_only: bool = False):
+        """f of the Hermitian matrix with this spectrum, by spectral mapping.
+
+        With support_only=True, eigenvalues within 1e-12 * max|eig| of zero
+        are mapped to zero without evaluating f (the 0 log 0 = 0 convention).
+        If f evaluates to a non-finite number at some retained eigenvalue, a
+        domain error naming that eigenvalue is raised.
+        """
+        w = self.eigenvalues
+        keep = np.ones(w.shape, dtype=bool)
+        if support_only:
+            cutoff = 1e-12 * float(np.max(np.abs(w))) if w.size else 0.0
+            keep = np.abs(w) > cutoff
+        fw = np.zeros(w.shape, dtype=complex)
+        if np.any(keep):
+            retained = w[keep]
+            vals = np.empty(retained.shape, dtype=complex)
+            with np.errstate(all="ignore"):
+                for idx, x in enumerate(retained):
+                    try:
+                        vals[idx] = f(x)
+                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                        raise ValueError(f"function undefined at eigenvalue {x!r}") from exc
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                offender = retained[bad][0]
+                raise ValueError(f"function undefined at eigenvalue {offender!r}")
+            fw[keep] = vals
+        v = self.eigenvectors
+        return (v * fw) @ dagger(v)
+
 
 def herm_eig(h, tol: float = HERM_TOL) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with validated output.
@@ -72,36 +103,8 @@ def herm_eig(h, tol: float = HERM_TOL) -> EigenSystem:
 
 
 def matrix_function(h, f, support_only: bool = False, tol: float = HERM_TOL):
-    """Apply a scalar function to a Hermitian matrix by spectral mapping.
-
-    With support_only=True, eigenvalues within 1e-12 * max|eig| of zero are
-    mapped to zero without evaluating f (the 0 log 0 = 0 convention).  If f
-    evaluates to a non-finite number at some retained eigenvalue, a domain
-    error naming that eigenvalue is raised.
-    """
-    es = herm_eig(h, tol)
-    w = es.eigenvalues.copy()
-    keep = np.ones(w.shape, dtype=bool)
-    if support_only:
-        cutoff = 1e-12 * float(np.max(np.abs(w))) if w.size else 0.0
-        keep = np.abs(w) > cutoff
-    fw = np.zeros(w.shape, dtype=complex)
-    if np.any(keep):
-        retained = w[keep]
-        vals = np.empty(retained.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            for idx, x in enumerate(retained):
-                try:
-                    vals[idx] = f(x)
-                except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                    raise ValueError(f"function undefined at eigenvalue {x!r}") from exc
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            offender = retained[bad][0]
-            raise ValueError(f"function undefined at eigenvalue {offender!r}")
-        fw[keep] = vals
-    v = es.eigenvectors
-    return (v * fw) @ dagger(v)
+    """Apply a scalar function to a Hermitian matrix: herm_eig, then EigenSystem.apply."""
+    return herm_eig(h, tol).apply(f, support_only)
 
 
 def partial_trace(m, dims, side: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight, tensor_algebra
-from .linalg import dagger, frob, herm_eig, matrix_function
+from .linalg import EigenSystem, check_hermitian, dagger, frob, herm_eig, matrix_function
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -23,17 +23,27 @@ _XLOGX = lambda x: x * math.log(x.real) if x.real > 0 else 0.0
 
 @dataclass(eq=False)
 class State:
-    """Positive functional phi(x) = tau(rho x) on a multi-matrix algebra."""
+    """Positive functional phi(x) = tau(rho x) on a multi-matrix algebra.
+
+    rho is a private read-only copy of the given density. Its eigensystem,
+    computed and validated once at construction, serves every spectral
+    function of the state (spectrum, density_function).
+    """
 
     algebra: MultiMatrixAlgebra
     tau: TraceWeight
     rho: np.ndarray
     mass: float = field(default=None)
+    _eig: EigenSystem = field(init=False, repr=False)
+    _hermitian_checked: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
+        self.rho = np.array(self.rho, dtype=complex)
+        self.rho.flags.writeable = False
         self.algebra.require_member(self.rho, "density")
-        w = herm_eig(self.rho, tol=1e-10).eigenvalues
+        self._eig = herm_eig(self.rho, tol=1e-10)
+        w = self._eig.eigenvalues
+        w.flags.writeable = self._eig.eigenvectors.flags.writeable = False
         scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
         if w.size and float(w[0]) < -1e-10 * scale:
             raise ValueError(f"density has negative eigenvalue {float(w[0]):.3e}")
@@ -50,8 +60,24 @@ class State:
     def is_state(self) -> bool:
         return abs(self.mass - 1.0) <= 1e-10
 
+    def spectrum(self) -> EigenSystem:
+        """The eigensystem of rho, held since construction.
+
+        Construction admits an asymmetry of rho up to 1e-10; the first call
+        also applies the stricter HERM_TOL check of matrix_function and
+        remembers that it passed.
+        """
+        if not self._hermitian_checked:
+            check_hermitian(self.rho)
+            self._hermitian_checked = True
+        return self._eig
+
+    def density_function(self, f, support_only: bool = False) -> np.ndarray:
+        """f(rho) by spectral mapping; equal to matrix_function(rho, f, support_only)."""
+        return self.spectrum().apply(f, support_only)
+
     def min_eigenvalue(self) -> float:
-        return float(herm_eig(self.rho).eigenvalues[0])
+        return float(self.spectrum().eigenvalues[0])
 
     @property
     def is_faithful(self) -> bool:
@@ -88,7 +114,7 @@ def s_tau(phi: State, require_faithful: bool = False) -> float:
     """
     if require_faithful and not phi.is_faithful:
         return NEG_INF
-    xlx = matrix_function(phi.rho, _XLOGX, support_only=True)
+    xlx = phi.density_function(_XLOGX, support_only=True)
     val = -np.real(phi.tau.value(xlx))
     return float(val)
 

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,15 @@ class TestVerifyCommand:
                                "--out", str(out_dir))
         assert code == 0
         assert "3/3 suites passed" in out
+
+    def test_runs_as_python_module(self, tmp_path):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vne", "verify", "smoke", "--out", str(tmp_path / "rep")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "3/3 suites passed" in proc.stdout
 
     def test_writes_report_per_suite_and_csv(self, capsys, tmp_path):
         out_dir = tmp_path / "rep"

@@ -94,6 +94,13 @@ class TestTraceExpectation:
         x = inc.sub.random_hermitian(np.random.default_rng(6))
         assert abs(phi(x) - phi_b(x)) < 1e-10
 
+    def test_restrict_state_rejects_a_nearby_trace(self):
+        inc = tensor_pair_inclusion(2, 2)
+        tau = inc.tau.scaled(1.0 + 5e-6)
+        phi = hs_state(inc.ambient, tau, 5)
+        with pytest.raises(ValueError, match="inclusion trace"):
+            inc.restrict_state(phi)
+
     def test_rejects_non_subalgebra(self):
         a = full_matrix_algebra(4)
         not_sub = full_matrix_algebra(3)

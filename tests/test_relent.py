@@ -48,6 +48,15 @@ def classical_kl(p, q, w):
 
 
 class TestClosedForm:
+    def test_rejects_a_nearby_trace_weight(self):
+        a = full_matrix_algebra(2)
+        tau = TraceWeight(a, (0.5,))
+        near = TraceWeight(a, (0.5 * (1.0 + 5e-6),))
+        phi = hs_state(a, tau, 1, floor=0.1)
+        psi = hs_state(a, near, 2, floor=0.1)
+        with pytest.raises(ValueError, match="same trace weight"):
+            rel_entropy_closed(phi, psi)
+
     def test_zero_on_equal_states(self):
         a = full_matrix_algebra(3)
         phi = hs_state(a, normalized_trace(a), 0)

@@ -14,7 +14,11 @@ from vne.algebra import (
     normalized_trace,
     tensor_left_subalgebra,
 )
-from vne.linalg import frob
+import vne.linalg
+import vne.relent
+import vne.states
+from vne.linalg import frob, matrix_function
+from vne.relent import rel_entropy_closed, reverse_entropy
 from vne.states import (
     State,
     maximally_mixed,
@@ -217,3 +221,89 @@ class TestUnnormalizedTrace:
         phi = State(a, tr, np.diag([0.75, 0.25]))
         expected = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
         assert abs(s_tau(phi) - expected) < 1e-14
+
+
+class TestHeldSpectrum:
+    """A State diagonalizes rho once; every spectral function reuses that system."""
+
+    FUNCTIONS = [
+        (vne.states._XLOGX, True),
+        (vne.relent._LOG, True),
+        (vne.relent._LOG, False),
+        (vne.relent._SQRT, True),
+        (vne.relent._INV, True),
+        (lambda x: min(1.0, 3.0 * x.real), False),
+    ]
+
+    @staticmethod
+    def states():
+        out = []
+        for n in (2, 3, 4):
+            a = full_matrix_algebra(n)
+            out += [hs_state(a, normalized_trace(a), seed, floor=0.05) for seed in range(3)]
+        multi = algebra_from_blocks([(2, 1), (1, 2), (3, 1)])
+        out += [hs_state(multi, ambient_trace(multi), seed, floor=0.05) for seed in range(3)]
+        return out
+
+    def test_function_equals_matrix_function_bitwise(self):
+        for phi in self.states():
+            for f, support_only in self.FUNCTIONS:
+                ours = phi.density_function(f, support_only=support_only)
+                assert np.array_equal(ours, matrix_function(phi.rho, f, support_only=support_only))
+
+    def test_built_states_need_no_diagonalization(self, monkeypatch):
+        pairs = [(phi, hs_state(phi.algebra, phi.tau, 99, floor=0.05)) for phi in self.states()]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return vne.linalg.EigenSystem(*np.linalg.eigh(args[0]))
+
+        for module in (vne.linalg, vne.states, vne.relent):
+            monkeypatch.setattr(module, "herm_eig", counting)
+        for phi, psi in pairs:
+            s_tau(phi)
+            rel_entropy_closed(phi, psi)
+            assert phi.is_faithful
+            if phi.is_state:
+                reverse_entropy(normalized_trace(phi.algebra), phi)
+        assert calls == []
+
+    def test_strict_hermitian_check_runs_once(self, monkeypatch):
+        a = full_matrix_algebra(3)
+        phi = hs_state(a, normalized_trace(a), 5)
+        calls = []
+        check = vne.states.check_hermitian
+
+        def counting(h, *args):
+            calls.append(1)
+            return check(h, *args)
+
+        monkeypatch.setattr(vne.states, "check_hermitian", counting)
+        s_tau(phi)
+        s_tau(phi)
+        phi.min_eigenvalue()
+        assert calls == [1]
+
+    def test_slightly_asymmetric_density_constructs_but_has_no_entropy(self):
+        a = full_matrix_algebra(2)
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        rho[0, 1] += 1e-11
+        phi = State(a, ambient_trace(a), rho)
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            s_tau(phi)
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            phi.min_eigenvalue()
+
+    def test_density_is_a_private_read_only_copy(self):
+        a = full_matrix_algebra(2)
+        rho = np.diag([1.5, 0.5]).astype(complex)
+        phi = State(a, normalized_trace(a), rho)
+        with pytest.raises(ValueError):
+            phi.rho[0, 0] = 1.0
+        before = s_tau(phi)
+        rho[0, 0] = 0.5
+        rho[1, 1] = 1.5
+        rho[0, 1] = rho[1, 0] = 0.25
+        assert np.array_equal(phi.rho, np.diag([1.5, 0.5]))
+        assert s_tau(phi) == before
