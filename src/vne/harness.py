@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .algebra import (
     MultiMatrixAlgebra,
@@ -556,6 +555,9 @@ def maximize_gap(inc: Inclusion, restarts: int = 200, seed: int = 0,
     states; the search stops early once the index bound is approached
     within stop_within.
     """
+    # scipy loads only here: no verify suite searches, and importing vne stays light
+    from scipy.optimize import minimize
+
     alg, tau = inc.ambient, inc.tau
     bound = math.log(inc.index_report().pp_positive)
     sizes = [n for n, _ in alg.blocks]

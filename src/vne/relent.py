@@ -5,6 +5,9 @@ the relative modular operator on the trace GNS space and integrates log
 against its spectral resolution.  kosaki_eval maximizes the variational
 functional over step functions and is a certified lower bound; restricted
 to a subspace V of the algebra it computes the subspace relative entropy.
+All its slice problems come from one generalized eigendecomposition of the
+Gram pencil (g, g + h), and the value returned is the functional at the
+computed minimizers, with no regularization.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import MultiMatrixAlgebra, TraceWeight
 from .linalg import check_hermitian, dagger, frob, herm_eig
@@ -22,6 +24,17 @@ from .states import POS_INF, State, restrict
 _LOG = lambda x: math.log(x.real)
 _INV = lambda x: 1.0 / x
 _SQRT = lambda x: math.sqrt(x.real)
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix with the given square blocks along its diagonal."""
+    size = sum(len(b) for b in blocks)
+    out = np.zeros((size, size), dtype=complex)
+    pos = 0
+    for b in blocks:
+        out[pos:pos + len(b), pos:pos + len(b)] = b
+        pos += len(b)
+    return out
 
 
 def _support_projection(phi: State):
@@ -84,10 +97,10 @@ class StandardForm:
         return np.concatenate([math.sqrt(w) * c.ravel() for w, c in zip(self.tau.weights, comps)])
 
     def left_matrix(self, a) -> np.ndarray:
-        return block_diag(*[np.kron(c, np.eye(len(c))) for c in self.algebra.block_components(a)])
+        return _block_diag([np.kron(c, np.eye(len(c))) for c in self.algebra.block_components(a)])
 
     def right_matrix(self, a) -> np.ndarray:
-        return block_diag(*[np.kron(np.eye(len(c)), c.T) for c in self.algebra.block_components(a)])
+        return _block_diag([np.kron(np.eye(len(c)), c.T) for c in self.algebra.block_components(a)])
 
     def subspace_projection(self, sub: MultiMatrixAlgebra) -> np.ndarray:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""
@@ -159,6 +172,20 @@ class KosakiGrid:
 
     breakpoints: np.ndarray
 
+    def __post_init__(self):
+        b = np.asarray(self.breakpoints, dtype=float)
+        if b.ndim != 1:
+            raise ValueError(f"KosakiGrid breakpoints must be a 1-D array, got shape {b.shape}")
+        if b.size < 2:
+            raise ValueError(f"KosakiGrid needs at least two breakpoints, got {b.size}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("KosakiGrid breakpoints must be finite")
+        if not b[0] > 0:
+            raise ValueError(f"KosakiGrid breakpoints must be positive, got {b[0]!r} first")
+        if not np.all(b[1:] > b[:-1]):
+            raise ValueError("KosakiGrid breakpoints must be strictly increasing")
+        object.__setattr__(self, "breakpoints", b)
+
     @property
     def n(self) -> float:
         return 1.0 / float(self.breakpoints[0])
@@ -196,52 +223,67 @@ def kosaki_eval(phi: State, psi: State, subspace=None, grid: KosakiGrid | None =
     quadratic slice problems over V, with x = 1 on the tail.  The value
     never exceeds the supremum and is nondecreasing under grid refinement
     (nested breakpoints), enlargement of V, and decrease of psi.
+
+    Every slice problem (a g + b h) c = a conj(f) comes from one pencil:
+    g + h is whitened once and g diagonalized in those coordinates, so the
+    minimizers of all slices are diagonal rescalings of one vector.  The
+    value returned is the functional at those minimizers, evaluated with
+    the original Gram matrices; no regularization enters.
     """
     _check_same_algebra(phi, psi)
-    span = list(subspace) if subspace is not None else list(phi.algebra.canonical_basis())
-    basis = [np.asarray(v, dtype=complex) for v in span]
+    span = list(subspace) if subspace is not None else phi.algebra.canonical_basis()
     dim = phi.algebra.dim
-    eye = np.eye(dim, dtype=complex)
+    rows = np.asarray(span, dtype=complex).reshape(len(span), -1)
 
-    # the tail step needs the identity in V
-    rows = np.stack([v.ravel() for v in basis])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > 1e-10 * s[0]
-    proj = dagger(vh[keep]) @ vh[keep]
-    if frob(eye.ravel() - proj @ eye.ravel()) > 1e-9 * math.sqrt(dim):
+    # orthonormal basis v_i of V; the tail step needs the identity in V
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    vh = vh[s > 1e-10 * s[0]]
+    eye = np.eye(dim, dtype=complex).ravel()
+    if frob(eye - (np.conj(vh) @ eye) @ vh) > 1e-9 * math.sqrt(dim):
         raise ValueError("kosaki_eval requires the identity to lie in the subspace")
 
-    nb = len(basis)
-    g = np.zeros((nb, nb), dtype=complex)
-    h = np.zeros((nb, nb), dtype=complex)
-    for i, vi in enumerate(basis):
-        for j, vj in enumerate(basis):
-            g[i, j] = phi(dagger(vi) @ vj)
-            h[i, j] = psi(vj @ dagger(vi))
+    # phi(x) = Tr(A x) and psi(x) = Tr(B x) with A = T rho_phi, B = T rho_psi
+    # (T the ambient density of the trace):
+    # g_ij = phi(v_i* v_j) = <v_i, v_j A>, h_ij = psi(v_j v_i*) = <v_i, B v_j>
+    a_mat = phi.tau.ambient_density @ phi.rho
+    b_mat = psi.tau.ambient_density @ psi.rho
+    nb = len(vh)
+    stack = vh.reshape(nb, dim, dim)
+    g = np.conj(vh) @ (stack @ a_mat).reshape(nb, -1).T
+    h = np.conj(vh) @ (b_mat @ stack).reshape(nb, -1).T
     g = 0.5 * (g + dagger(g))
     h = 0.5 * (h + dagger(h))
-    f = np.array([phi(v) for v in basis])
-    phi1 = float(np.real(phi(eye)))
-    psi1 = float(np.real(psi(eye)))
+    f = vh @ a_mat.T.ravel()
+    phi1 = float(np.real(np.trace(a_mat)))
+    psi1 = float(np.real(np.trace(b_mat)))
 
     if grid is None:
         grid = KosakiGrid.default(psi_mass=psi1)
-    b = grid.breakpoints
-    a_w = np.log(b[1:] / b[:-1])
-    b_w = 1.0 / b[:-1] - 1.0 / b[1:]
+    bp = grid.breakpoints
+    a_w = np.log(bp[1:] / bp[:-1])
+    b_w = 1.0 / bp[:-1] - 1.0 / bp[1:]
 
-    reg = 1e-12 * max(1.0, float(np.real(np.trace(g))), float(np.real(np.trace(h))))
-    total = phi1 * math.log(grid.n)
-    for aw, bw in zip(a_w, b_w):
-        q = aw * g + bw * h + reg * max(aw, bw) * np.eye(nb)
-        c = np.linalg.solve(q, aw * np.conj(f))
-        lin = np.dot(f, c)
-        quad = float(np.real(np.conj(c) @ g @ c))
-        quad_h = float(np.real(np.conj(c) @ h @ c))
-        slice_val = aw * (phi1 - 2.0 * float(np.real(lin)) + quad) + bw * quad_h
-        total -= slice_val
-    total -= psi1 / grid.t_max
-    return float(total)
+    # whiten g + h, dropping its kernel (there phi(v* v) = psi(v v*) = 0, so
+    # f = 0 too), and diagonalize g in that frame: W* g W = diag(gamma) and
+    # W* h W = 1 - diag(gamma).  Small eigenvalues of g + h magnify the
+    # rounding asymmetry of the whitened g, hence its Hermitian part.
+    pencil = herm_eig(g + h)
+    lam = pencil.eigenvalues
+    live = lam > 1e-12 * max(1.0, float(lam[-1]))
+    whiten = pencil.eigenvectors[:, live] / np.sqrt(lam[live])
+    g_w = dagger(whiten) @ g @ whiten
+    inner = herm_eig(0.5 * (g_w + dagger(g_w)))
+    gamma = np.clip(inner.eigenvalues, 0.0, 1.0)
+    w = whiten @ inner.eigenvectors
+    f_t = dagger(w) @ np.conj(f)
+    # column s is the minimizer c_s = a_s W diag(1 / (a_s gamma + b_s (1 - gamma))) W* conj(f)
+    c = w @ (a_w * f_t[:, None] / (np.outer(gamma, a_w) + np.outer(1.0 - gamma, b_w)))
+
+    lin = np.real(f @ c)
+    quad = np.real(np.sum(np.conj(c) * (g @ c), axis=0))
+    quad_h = np.real(np.sum(np.conj(c) * (h @ c), axis=0))
+    slice_vals = a_w * (phi1 - 2.0 * lin + quad) + b_w * quad_h
+    return phi1 * math.log(grid.n) - float(np.sum(slice_vals)) - psi1 / grid.t_max
 
 
 # -- identities around conditional expectations -------------------------------

@@ -119,6 +119,17 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert "3/3 suites passed" in proc.stdout
 
+    def test_imports_without_scipy(self):
+        # only maximize_gap needs scipy, and it imports it on first call
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, vne, vne.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_writes_report_per_suite_and_csv(self, capsys, tmp_path):
         out_dir = tmp_path / "rep"
         run_cli(capsys, "verify", "smoke", "--spec", SPEC, "--out", str(out_dir))

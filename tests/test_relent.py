@@ -277,6 +277,154 @@ class TestKosaki:
             kosaki_eval(phi, psi, subspace=[x])
 
 
+def kosaki_oracle(phi, psi, subspace=None, grid=None):
+    """The per-slice Kosaki route: Gram matrices pair by pair, one regularized solve per slice.
+
+    Test-only reference for kosaki_eval, which takes every slice from one pencil.
+    """
+    span = list(subspace) if subspace is not None else list(phi.algebra.canonical_basis())
+    basis = [np.asarray(v, dtype=complex) for v in span]
+    eye = np.eye(phi.algebra.dim, dtype=complex)
+    nb = len(basis)
+    g = np.zeros((nb, nb), dtype=complex)
+    h = np.zeros((nb, nb), dtype=complex)
+    for i, vi in enumerate(basis):
+        for j, vj in enumerate(basis):
+            g[i, j] = phi(dagger(vi) @ vj)
+            h[i, j] = psi(vj @ dagger(vi))
+    g = 0.5 * (g + dagger(g))
+    h = 0.5 * (h + dagger(h))
+    f = np.array([phi(v) for v in basis])
+    phi1 = float(np.real(phi(eye)))
+    psi1 = float(np.real(psi(eye)))
+    grid = grid or KosakiGrid.default(psi_mass=psi1)
+    b = grid.breakpoints
+    reg = 1e-12 * max(1.0, float(np.real(np.trace(g))), float(np.real(np.trace(h))))
+    total = phi1 * math.log(grid.n)
+    for aw, bw in zip(np.log(b[1:] / b[:-1]), 1.0 / b[:-1] - 1.0 / b[1:]):
+        q = aw * g + bw * h + reg * max(aw, bw) * np.eye(nb)
+        c = np.linalg.solve(q, aw * np.conj(f))
+        quad = float(np.real(np.conj(c) @ g @ c))
+        quad_h = float(np.real(np.conj(c) @ h @ c))
+        total -= aw * (phi1 - 2.0 * float(np.real(np.dot(f, c))) + quad) + bw * quad_h
+    return total - psi1 / grid.t_max
+
+
+def rank_deficient_state(algebra, tau, seed):
+    """A state whose density has a kernel in every block of size two or more."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for n, _ in algebra.blocks:
+        g = rng.standard_normal((n, max(1, n - 1))) + 1j * rng.standard_normal((n, max(1, n - 1)))
+        comps.append(g @ g.conj().T)
+    rho = algebra.embed(comps)
+    return State(algebra, tau, rho / float(np.real(tau.value(rho))))
+
+
+# float64 rounding of psi(x x*) where psi nearly vanishes, amplified by the
+# slice weights b_s, which sum to n: eps * n, about 2.3e-10 on the default grid
+KOSAKI_NOISE = np.finfo(float).eps * KosakiGrid.default().n
+
+
+def _oracle_cases():
+    three_blocks = algebra_from_blocks([(1, 1), (2, 1), (2, 2)])
+    for a in (full_matrix_algebra(2), full_matrix_algebra(3), full_matrix_algebra(4), three_blocks):
+        tau = TraceWeight(a, tuple(0.5 + 0.25 * k for k in range(len(a.blocks))))
+        full = list(a.canonical_basis())
+        dependent = [a.identity()] + full + [full[0] + full[-1]]
+        yield a, tau, (None, dependent, [a.identity()])
+
+
+class TestKosakiPencil:
+    def test_matches_the_per_slice_oracle_on_faithful_pairs(self):
+        for a, tau, subspaces in _oracle_cases():
+            for seed in range(2):
+                phi = hs_state(a, tau, 40 + seed, floor=0.05)
+                psi = hs_state(a, tau, 80 + seed, floor=0.05)
+                for sub in subspaces:
+                    v = kosaki_eval(phi, psi, subspace=sub)
+                    ref = kosaki_oracle(phi, psi, subspace=sub)
+                    assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_not_below_the_oracle_on_non_faithful_pairs(self):
+        # S = inf here.  The oracle's regularization shrinks its minimizers and
+        # the pencil's are exact, so the pencil may only sit higher, up to
+        # KOSAKI_NOISE
+        for a, tau, subspaces in _oracle_cases():
+            faithful = hs_state(a, tau, 7, floor=0.05)
+            deficient = rank_deficient_state(a, tau, 8)
+            for phi, psi in ((faithful, deficient), (deficient, rank_deficient_state(a, tau, 9))):
+                for sub in subspaces:
+                    v = kosaki_eval(phi, psi, subspace=sub)
+                    assert math.isfinite(v)
+                    ref = kosaki_oracle(phi, psi, subspace=sub)
+                    assert v >= ref - KOSAKI_NOISE * max(1.0, abs(ref))
+
+    def test_near_singular_pairs(self):
+        # phi and psi share an eigenvector of tiny weight, so g + h has an
+        # eigenvalue near the kernel cut and whitening magnifies rounding
+        rng = np.random.default_rng(3)
+        for d in (2, 3, 4):
+            a = full_matrix_algebra(d)
+            tau = normalized_trace(a)
+            for tiny in (1e-8, 1e-10, 1e-11):
+                u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                p, q = rng.random(d), rng.random(d)
+                p[0], q[0] = tiny, 0.7 * tiny
+                phi = State(a, tau, (u * p / p.sum()) @ dagger(u) * d)
+                psi = State(a, tau, (u * q / q.sum()) @ dagger(u) * d)
+                v = kosaki_eval(phi, psi)
+                assert v <= rel_entropy_closed(phi, psi) + 1e-12
+                ref = kosaki_oracle(phi, psi)
+                assert v >= ref - KOSAKI_NOISE * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_one_pencil_and_no_per_slice_work(self, monkeypatch, refine):
+        import vne.relent as relent
+
+        a = full_matrix_algebra(3)
+        tau = normalized_trace(a)
+        phi = hs_state(a, tau, 21, floor=0.05)
+        psi = hs_state(a, tau, 22, floor=0.05)
+        grid = KosakiGrid.default().refined() if refine else None
+        herm_eig = relent.herm_eig
+        calls = []
+
+        def counted(h, *args, **kwargs):
+            calls.append(h.shape)
+            return herm_eig(h, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-pair or per-slice work in kosaki_eval")
+
+        monkeypatch.setattr(relent, "herm_eig", counted)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(State, "__call__", forbidden)
+        monkeypatch.setattr(TraceWeight, "value", forbidden)
+        v = kosaki_eval(phi, psi, grid=grid)
+        assert len(calls) == 2
+        assert math.isfinite(v)
+
+
+class TestKosakiGrid:
+    @pytest.mark.parametrize("breakpoints, rule", [
+        (np.array([1.0, 0.5, 4.0]), "strictly increasing"),
+        (np.array([0.5, 0.5, 2.0]), "strictly increasing"),
+        (np.array([-1.0, 1.0, 2.0]), "positive"),
+        (np.array([0.5, np.inf]), "finite"),
+        (np.array([0.5, np.nan, 2.0]), "finite"),
+        (np.array([0.5]), "at least two"),
+        (np.array([[0.5, 1.0], [2.0, 4.0]]), "1-D"),
+    ])
+    def test_rejects_breakpoints_that_are_not_a_grid(self, breakpoints, rule):
+        with pytest.raises(ValueError, match=rule):
+            KosakiGrid(breakpoints)
+
+    def test_decreasing_default_is_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            KosakiGrid.default(n=2, t_max=0.1, slices=10)
+
+
 class TestPetz:
     def test_chain_rule_residual(self):
         inc = tensor_pair_inclusion(2, 2)
