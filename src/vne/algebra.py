@@ -4,7 +4,8 @@ An algebra is its block structure: isometries V_k identifying it with a
 direct sum of M_{n_k} tensor 1_{m_k} summands.  Projections, components and
 membership go through one change of coordinates, the unitary
 W = [V_1 ... V_K]; no spanning set is stored.  Faithful traces are
-per-block weight vectors.
+per-block weight vectors.  Coordinates, components, membership and traces
+take one ambient matrix (D, D) or a stack (..., D, D) alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import dagger, frob, herm_eig
+from .linalg import any_member, dagger, first_failure, frob, frob_each, herm_eig, member_note, unwrap
 
 SPAN_TOL = 1e-9
 
@@ -83,24 +84,27 @@ class MultiMatrixAlgebra:
         n, m = self.blocks[k]
         if m == 1:
             return y
-        return np.trace(y.reshape(n, m, n, m), axis1=1, axis2=3) / m
+        return np.trace(y.reshape(y.shape[:-2] + (n, m, n, m)), axis1=-3, axis2=-1) / m
 
     def _diagonal(self, y):
-        return [self._reduce(y[s, s], k) for k, s in enumerate(self._slices)]
+        return [self._reduce(y[..., s, s], k) for k, s in enumerate(self._slices)]
 
     def _lift(self, comps):
         """Block coordinates of the member with components comps: (+)_k c_k (x) 1_{m_k}."""
         if len(comps) != len(self.blocks):
             raise ValueError(f"expected {len(self.blocks)} block components, got {len(comps)}")
-        y = np.zeros((self.dim, self.dim), dtype=complex)
+        y = None
         for (n, m), s, c in zip(self.blocks, self._slices, comps):
             c = np.asarray(c)
-            if c.shape != (n, n):
+            if c.shape[-2:] != (n, n):
                 raise ValueError(f"block component of shape {c.shape}, expected {(n, n)}")
+            if y is None:  # the first component sets the stack shape
+                y = np.zeros(c.shape[:-2] + (self.dim, self.dim), dtype=complex)
             if m == 1:
-                y[s, s] = c
+                y[..., s, s] = c
             else:
-                y[s, s] = (c[:, None, :, None] * np.eye(m)[None, :, None, :]).reshape(n * m, n * m)
+                y[..., s, s] = (c[..., :, None, :, None] * np.eye(m)[:, None, :]).reshape(
+                    c.shape[:-2] + (n * m, n * m))
         return y
 
     # -- linear structure -------------------------------------------------
@@ -116,17 +120,25 @@ class MultiMatrixAlgebra:
         """Hilbert-Schmidt orthogonal projection of an ambient matrix onto the algebra."""
         return self.embed(self.block_components(x))
 
-    def membership_residual(self, x) -> float:
+    def _residual(self, x):
+        x = np.asarray(x, dtype=complex)
         y = self._coordinates(x)
-        return frob(y - self._lift(self._diagonal(y))) / max(1.0, frob(x))
+        return frob_each(y - self._lift(self._diagonal(y))) / np.maximum(1.0, frob_each(x))
 
-    def contains(self, x, tol: float = SPAN_TOL) -> bool:
+    def membership_residual(self, x):
+        """Relative distance of x (or of each member of a stack) from the algebra."""
+        return unwrap(self._residual(x))
+
+    def contains(self, x, tol: float = SPAN_TOL):
         return self.membership_residual(x) <= tol
 
     def require_member(self, x, what: str = "matrix", tol: float = SPAN_TOL):
-        r = self.membership_residual(x)
-        if r > tol:
-            raise ValueError(f"{what} lies outside the algebra span (residual {r:.3e})")
+        r = self._residual(x)
+        over = r > tol
+        if any_member(over):
+            at = first_failure(over)
+            raise ValueError(f"{what} lies outside the algebra span "
+                             f"(residual {float(r[at]):.3e}){member_note(at)}")
 
     def same_span(self, other, tol: float = 1e-8) -> bool:
         if self.dim != other.dim or self.dim_linear != other.dim_linear:
@@ -302,9 +314,18 @@ class TraceWeight:
         """tau(1) = sum_k n_k * weight_k."""
         return float(sum(w * n for w, (n, _) in zip(self.weights, self.algebra.blocks)))
 
-    def value(self, x) -> complex:
-        """tau(x) = Tr(T x), for members and non-members alike."""
-        return complex(np.vdot(self.ambient_density, np.asarray(x, dtype=complex)))
+    @cached_property
+    def _pairing(self):
+        """conj(T) as a column, so that a row-major x pairs as Tr(T x) = vdot(T, x)."""
+        return np.conj(self.ambient_density).reshape(-1, 1)
+
+    def value(self, x):
+        """tau(x) = Tr(T x), for members and non-members alike; one per stack member.
+
+        Each member pairs as a (1, D^2) @ (D^2, 1) product, which rounds as np.vdot.
+        """
+        x = np.asarray(x, dtype=complex)
+        return unwrap((x.reshape(x.shape[:-2] + (1, -1)) @ self._pairing)[..., 0, 0])
 
     def scaled(self, lam: float) -> "TraceWeight":
         if not lam > 0:

@@ -38,7 +38,7 @@ from .inclusion import (
     trace_expectation,
     xu_identity,
 )
-from .linalg import dagger, partial_trace
+from .linalg import dagger, kron, partial_trace
 from .relent import (
     KosakiGrid,
     kosaki_eval,
@@ -85,9 +85,31 @@ def _haar_vector(rng, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _components(kind: str, algebra: MultiMatrixAlgebra, rng) -> list:
+    """The per-block components of one hilbert-schmidt or purified-haar draw."""
+    comps = []
+    if kind == "hilbert-schmidt":
+        for n, _ in algebra.blocks:
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            comps.append(g @ g.conj().T)
+    elif kind == "purified-haar":
+        masses = rng.dirichlet(np.ones(len(algebra.blocks)))
+        for (n, _), mass in zip(algebra.blocks, masses):
+            v = _haar_vector(rng, n * n)
+            red = partial_trace(np.outer(v, v.conj()), (n, n), side="right")
+            comps.append(mass * red)
+    else:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    return comps
+
+
 def random_state(ens: Ensemble, algebra: MultiMatrixAlgebra | None = None,
                  tau: TraceWeight | None = None, rng=None) -> State:
-    """One draw from the ensemble, normalized to a state against tau."""
+    """One draw from the ensemble, normalized to a state against tau.
+
+    rng may also be a sequence of generators; the result is then a stack of
+    states whose member i is the draw that rng[i] alone would give.
+    """
     if ens.dim < 1:
         raise ValueError(f"ensemble dimension must be positive, got {ens.dim}")
     if algebra is None:
@@ -96,18 +118,9 @@ def random_state(ens: Ensemble, algebra: MultiMatrixAlgebra | None = None,
         tau = normalized_trace(algebra)
     if rng is None:
         rng = np.random.default_rng(ens.seed)
-    comps = []
-    if ens.kind == "hilbert-schmidt":
-        for n, _ in algebra.blocks:
-            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            comps.append(g @ g.conj().T)
-    elif ens.kind == "purified-haar":
-        masses = rng.dirichlet(np.ones(len(algebra.blocks)))
-        for (n, _), mass in zip(algebra.blocks, masses):
-            v = _haar_vector(rng, n * n)
-            red = partial_trace(np.outer(v, v.conj()), (n, n), side="right")
-            comps.append(mass * red)
-    elif ens.kind == "spectrum-fixed":
+    single = isinstance(rng, np.random.Generator)
+    gens = [rng] if single else list(rng)
+    if ens.kind == "spectrum-fixed":
         if ens.spectrum is None:
             raise ValueError("spectrum-fixed ensemble needs a spectrum")
         sizes = [n for n, _ in algebra.blocks]
@@ -115,21 +128,22 @@ def random_state(ens: Ensemble, algebra: MultiMatrixAlgebra | None = None,
             raise ValueError(
                 f"spectrum length {len(ens.spectrum)} does not match "
                 f"total block size {sum(sizes)}")
-        u = algebra.random_unitary(rng)
+        u = np.stack([algebra.random_unitary(g) for g in gens])
         flat = list(ens.spectrum)
+        comps = []
         pos = 0
         for n, _ in algebra.blocks:
             comps.append(np.diag(np.asarray(flat[pos:pos + n], dtype=complex)))
             pos += n
-        raw = u @ algebra.embed(comps) @ u.conj().T
-        comps = None
+        raw = u @ algebra.embed(comps) @ dagger(u)
     else:
-        raise ValueError(f"unknown ensemble kind {ens.kind!r}")
-    if comps is not None:
-        raw = algebra.embed(comps)
+        draws = [_components(ens.kind, algebra, g) for g in gens]
+        raw = algebra.embed([np.stack(block) for block in zip(*draws)])
+    if single:
+        raw = raw[0]
     if ens.floor > 0.0:
         raw = raw + ens.floor * algebra.identity()
-    raw = raw / np.real(tau.value(raw))
+    raw = raw / np.asarray(np.real(tau.value(raw)))[..., None, None]
     return State(algebra, tau, raw)
 
 
@@ -199,10 +213,16 @@ class VerificationReport:
 
 # -- suite library -------------------------------------------------------------
 #
-# A suite is (default trials, default tolerance, setup, trial). setup builds
-# shared read-only context once; trial(ctx, idx, rng, tol) returns a record
-# with at least "slack" (signed distance to the sharp statement) and
-# "violation" (how far past the statement the trial landed, 0 when inside).
+# A suite is (default trials, default tolerance, setup, trials). setup builds
+# shared read-only context once; trials(ctx, idx, rngs, tol) runs the trials
+# numbered idx, trial i with its own generator rngs[i - idx[0]], and returns
+# their records in order. A record holds at least "slack" (signed distance to
+# the sharp statement) and "violation" (how far past the statement the trial
+# landed, 0 when inside). The cheap suites draw a chunk's states as one stack
+# and evaluate each step once per chunk; their per-trial arithmetic on the
+# resulting floats is plain Python, as it was per trial.
+
+CHUNK = 256  # trials per stack: larger chunks raise peak memory, smaller ones cost calls
 
 
 def _identity_record(residual: float, **extra) -> dict:
@@ -217,28 +237,52 @@ def _bound_record(slack: float, violation: float | None = None, **extra) -> dict
     return rec
 
 
+def _stacked(group):
+    """trials() of a suite with one context: the chunk runs as one stack, group(ctx, rngs, tol)."""
+    def trials(ctx, idx, rngs, tol):
+        return group(ctx, rngs, tol)
+    return trials
+
+
+def _cycled(group):
+    """trials() of a suite whose trial i uses entry i % len(ctx) of its context:
+    each entry's share of the chunk runs as one stack, group(entry, rngs, tol)."""
+    def trials(ctx, idx, rngs, tol):
+        out = [None] * len(rngs)
+        for j, entry in enumerate(ctx):
+            pos = [p for p, i in enumerate(idx) if i % len(ctx) == j]
+            if pos:
+                for p, rec in zip(pos, group(entry, [rngs[p] for p in pos], tol)):
+                    out[p] = rec
+        return out
+    return trials
+
+
+def _looped(trial):
+    """trials() of a suite that runs trial(ctx, i, rng, tol) once per trial."""
+    def trials(ctx, idx, rngs, tol):
+        return [trial(ctx, i, rng, tol) for i, rng in zip(idx, rngs)]
+    return trials
+
+
 def _setup_entropy_dims(dims):
     def setup(seed):
-        return [(full_matrix_algebra(n), None) for n in dims]
+        return [full_matrix_algebra(n) for n in dims]
     return setup
 
 
-def _trial_entropy_bounds(ctx, idx, rng, tol):
-    alg, _ = ctx[idx % len(ctx)]
+def _entropy_bounds(alg, rngs, tol):
     n = alg.dim
-    tau = normalized_trace(alg)
-    phi = random_state(Ensemble(dim=n), alg, tau, rng)
-    s = s_tau(phi)
-    slack = min(s + math.log(n), -s)
-    return _bound_record(slack, dim=n, entropy=s)
+    phi = random_state(Ensemble(dim=n), alg, normalized_trace(alg), rngs)
+    return [_bound_record(min(s + math.log(n), -s), dim=n, entropy=s)
+            for s in s_tau(phi).tolist()]
 
 
-def _trial_vn_shift(ctx, idx, rng, tol):
-    alg, _ = ctx[idx % len(ctx)]
-    tau = normalized_trace(alg)
-    phi = random_state(Ensemble(dim=alg.dim), alg, tau, rng)
-    resid = s_tau(phi) - (s_vn(phi) - math.log(alg.dim))
-    return _identity_record(resid, dim=alg.dim)
+def _vn_shift(alg, rngs, tol):
+    phi = random_state(Ensemble(dim=alg.dim), alg, normalized_trace(alg), rngs)
+    shift = math.log(alg.dim)
+    return [_identity_record(s - (v - shift), dim=alg.dim)
+            for s, v in zip(s_tau(phi).tolist(), s_vn(phi).tolist())]
 
 
 def _setup_additivity(seed):
@@ -250,14 +294,13 @@ def _setup_additivity(seed):
     return out
 
 
-def _trial_additivity(ctx, idx, rng, tol):
-    a, b, prod = ctx[idx % len(ctx)]
-    ta, tb = normalized_trace(a), normalized_trace(b)
-    phi = random_state(Ensemble(dim=a.dim), a, ta, rng)
-    psi = random_state(Ensemble(dim=b.dim), b, tb, rng)
+def _additivity(entry, rngs, tol):
+    a, b, prod = entry
+    phi = random_state(Ensemble(dim=a.dim), a, normalized_trace(a), rngs)
+    psi = random_state(Ensemble(dim=b.dim), b, normalized_trace(b), rngs)
     joint = tensor_state(phi, psi, product_algebra=prod)
     resid = s_tau(joint) - s_tau(phi) - s_tau(psi)
-    return _identity_record(resid, dims=f"{a.dim}x{b.dim}")
+    return [_identity_record(r, dims=f"{a.dim}x{b.dim}") for r in resid.tolist()]
 
 
 def _setup_subadditivity(seed):
@@ -270,36 +313,37 @@ def _setup_subadditivity(seed):
             "m2": a, "tau2": normalized_trace(a)}
 
 
-def _trial_subadditivity(ctx, idx, rng, tol):
-    phi = _faithful(rng, ctx["prod"], ctx["tau"])
-    p1 = _faithful(rng, ctx["m2"], ctx["tau2"])
-    p2 = _faithful(rng, ctx["m2"], ctx["tau2"])
-    joint = State(ctx["prod"], ctx["tau"], np.kron(p1.rho, p2.rho))
+def _subadditivity(ctx, rngs, tol):
+    phi = _faithful(rngs, ctx["prod"], ctx["tau"])
+    p1 = _faithful(rngs, ctx["m2"], ctx["tau2"])
+    p2 = _faithful(rngs, ctx["m2"], ctx["tau2"])
+    joint = State(ctx["prod"], ctx["tau"], kron(p1.rho, p2.rho))
     lhs = rel_entropy_closed(phi, joint)
     terms = []
     for sub, marginal in ((ctx["left"], p1), (ctx["right"], p2)):
         phi_sub = restrict(phi, sub)
         lifted = State(sub, phi_sub.tau, sub.embed([marginal.rho]))
-        terms.append(rel_entropy_closed(phi_sub, lifted))
-    slack = lhs - sum(terms)
-    return _bound_record(slack, lhs=lhs, rhs=sum(terms))
+        terms.append(rel_entropy_closed(phi_sub, lifted).tolist())
+    rhs = [sum(pair) for pair in zip(*terms)]
+    return [_bound_record(l - r, lhs=l, rhs=r) for l, r in zip(lhs.tolist(), rhs)]
 
 
 def _setup_restriction_monotone(seed):
     a = full_matrix_algebra(4)
+    tau = normalized_trace(a)
     subs = [tensor_left_subalgebra(2, 2), diagonal_subalgebra(4),
             scalar_subalgebra(4), tensor_right_subalgebra(2, 2)]
-    return {"alg": a, "tau": normalized_trace(a), "subs": subs}
+    return [(a, tau, sub) for sub in subs]
 
 
-def _trial_restriction_monotone(ctx, idx, rng, tol):
-    sub = ctx["subs"][idx % len(ctx["subs"])]
-    phi = _faithful(rng, ctx["alg"], ctx["tau"])
-    psi = _faithful(rng, ctx["alg"], ctx["tau"])
+def _restriction_monotone(entry, rngs, tol):
+    alg, tau, sub = entry
+    phi = _faithful(rngs, alg, tau)
+    psi = _faithful(rngs, alg, tau)
     full = rel_entropy_closed(phi, psi)
     down = rel_entropy_closed(restrict(phi, sub), restrict(psi, sub))
-    return _bound_record(full - down, full=full, restricted=down,
-                         sub=f"{sub.blocks}")
+    return [_bound_record(f - d, full=f, restricted=d, sub=f"{sub.blocks}")
+            for f, d in zip(full.tolist(), down.tolist())]
 
 
 _SCALES = (0.1, 1.0, 7.0)
@@ -309,42 +353,46 @@ def _setup_scaling(seed):
     return [full_matrix_algebra(n) for n in (2, 3, 4)]
 
 
-def _trial_relent_scaling(ctx, idx, rng, tol):
-    alg = ctx[idx % len(ctx)]
-    tau = normalized_trace(alg)
-    phi = _faithful(rng, alg, tau)
-    psi = _faithful(rng, alg, tau)
-    base = rel_entropy_closed(phi, psi)
-    worst = 0.0
-    for lam in _SCALES:
-        val = rel_entropy_closed(phi, psi.scaled(lam))
-        worst = max(worst, abs(val - base + math.log(lam)))
-    return _identity_record(worst, dim=alg.dim)
+def _worst_shift(base, moved, sign: float) -> list:
+    """Per trial, max over lam of |moved_lam - base + sign * log lam|, from 0."""
+    out = []
+    for b, vals in zip(base, zip(*moved)):
+        worst = 0.0
+        for lam, v in zip(_SCALES, vals):
+            worst = max(worst, abs(v - b + sign * math.log(lam)))
+        out.append(worst)
+    return out
 
 
-def _trial_trace_rescaling(ctx, idx, rng, tol):
-    alg = ctx[idx % len(ctx)]
+def _relent_scaling(alg, rngs, tol):
     tau = normalized_trace(alg)
-    phi = _faithful(rng, alg, tau)
-    base = s_tau(phi)
-    worst = 0.0
-    for lam in _SCALES:
-        worst = max(worst, abs(s_tau(rescale_trace(phi, lam)) - base - math.log(lam)))
-    return _identity_record(worst, dim=alg.dim)
+    phi = _faithful(rngs, alg, tau)
+    psi = _faithful(rngs, alg, tau)
+    base = rel_entropy_closed(phi, psi).tolist()
+    moved = [rel_entropy_closed(phi, psi.scaled(lam)).tolist() for lam in _SCALES]
+    return [_identity_record(w, dim=alg.dim) for w in _worst_shift(base, moved, 1.0)]
+
+
+def _trace_rescaling(alg, rngs, tol):
+    tau = normalized_trace(alg)
+    phi = _faithful(rngs, alg, tau)
+    base = s_tau(phi).tolist()
+    moved = [s_tau(rescale_trace(phi, lam)).tolist() for lam in _SCALES]
+    return [_identity_record(w, dim=alg.dim) for w in _worst_shift(base, moved, -1.0)]
 
 
 def _setup_m2_in_m4(seed):
     return {"inc": tensor_pair_inclusion(2, 2)}
 
 
-def _trial_petz(ctx, idx, rng, tol):
+def _petz(ctx, rngs, tol):
     inc = ctx["inc"]
-    phi = _faithful(rng, inc.ambient, inc.tau)
-    psi = _faithful(rng, inc.ambient, inc.tau)
+    phi = _faithful(rngs, inc.ambient, inc.tau)
+    psi = _faithful(rngs, inc.ambient, inc.tau)
     pd = petz_decompose(phi, psi, inc)
-    return _identity_record(pd.residual, lhs=pd.lhs,
-                            restriction=pd.restriction_term,
-                            expectation=pd.expectation_term)
+    return [_identity_record(r, lhs=l, restriction=b, expectation=e)
+            for r, l, b, e in zip(pd.residual.tolist(), pd.lhs.tolist(),
+                                  pd.restriction_term.tolist(), pd.expectation_term.tolist())]
 
 
 def _setup_expectation_bound(seed):
@@ -352,20 +400,24 @@ def _setup_expectation_bound(seed):
     return [(inc, math.log(inc.index_report().pp_positive)) for inc in incs]
 
 
-def _trial_expectation_bound(ctx, idx, rng, tol):
-    inc, bound = ctx[idx % len(ctx)]
-    phi = _faithful(rng, inc.ambient, inc.tau)
-    val = rel_entropy_closed(phi, inc.compress_state(phi))
-    return _bound_record(bound - val, value=val, bound=bound)
+def _expectation_bound(entry, rngs, tol):
+    inc, bound = entry
+    phi = _faithful(rngs, inc.ambient, inc.tau)
+    vals = rel_entropy_closed(phi, inc.compress_state(phi))
+    return [_bound_record(bound - v, value=v, bound=bound) for v in vals.tolist()]
 
 
-def _trial_gap_bound(ctx, idx, rng, tol):
-    inc = ctx["inc"]
-    phi = _faithful(rng, inc.ambient, inc.tau, floor=0.0)
+def _gap_reports(inc, rngs):
+    """The entropy gap reports of a chunk: (slack, violation, gap, route residual) per trial."""
+    phi = _faithful(rngs, inc.ambient, inc.tau, floor=0.0)
     rep = entropy_gap_bound(inc, phi)
-    violation = max(0.0, -rep.slack, rep.route_residual - 1e-9)
-    return _bound_record(rep.slack, violation=violation, gap=rep.gap,
-                         route_residual=rep.route_residual)
+    return [(slack, max(0.0, -slack, rr - 1e-9), gap, rr) for slack, gap, rr
+            in zip(rep.slack.tolist(), rep.gap.tolist(), rep.route_residual.tolist())]
+
+
+def _gap_bound(ctx, rngs, tol):
+    return [_bound_record(slack, violation=v, gap=gap, route_residual=rr)
+            for slack, v, gap, rr in _gap_reports(ctx["inc"], rngs)]
 
 
 def _setup_gap_unnormalized(seed):
@@ -375,27 +427,27 @@ def _setup_gap_unnormalized(seed):
     return {"inc": inc}
 
 
-def _trial_gap_unnormalized(ctx, idx, rng, tol):
-    inc = ctx["inc"]
-    phi = _faithful(rng, inc.ambient, inc.tau, floor=0.0)
-    rep = entropy_gap_bound(inc, phi)
-    violation = max(0.0, -rep.slack, rep.route_residual - 1e-9)
-    return _bound_record(rep.slack, violation=violation, gap=rep.gap)
+def _gap_unnormalized(ctx, rngs, tol):
+    return [_bound_record(slack, violation=v, gap=gap)
+            for slack, v, gap, _ in _gap_reports(ctx["inc"], rngs)]
 
 
-def _trial_reverse_bound(ctx, idx, rng, tol):
+def _reverse_bound(ctx, rngs, tol):
     # Two-sided: restriction cannot raise S(tau||.), and the operator-monotone
     # route through eps(rho) >= rho / index caps how far it can drop.
     inc = ctx["inc"]
-    phi = _faithful(rng, inc.ambient, inc.tau)
-    up = reverse_entropy(inc.tau, phi)
-    down = reverse_entropy(inc.sub_trace, inc.restrict_state(phi))
+    phi = _faithful(rngs, inc.ambient, inc.tau)
+    ups = reverse_entropy(inc.tau, phi).tolist()
+    downs = reverse_entropy(inc.sub_trace, inc.restrict_state(phi)).tolist()
     bound = math.log(inc.index_report().pp_positive)
-    slack = up - down
-    index_margin = bound - (down - up)
-    violation = max(0.0, -slack, -index_margin, -up - 1e-10, -down - 1e-10)
-    return _bound_record(slack, violation=violation, full=up, restricted=down,
-                         index_margin=index_margin)
+    out = []
+    for up, down in zip(ups, downs):
+        slack = up - down
+        index_margin = bound - (down - up)
+        violation = max(0.0, -slack, -index_margin, -up - 1e-10, -down - 1e-10)
+        out.append(_bound_record(slack, violation=violation, full=up, restricted=down,
+                                 index_margin=index_margin))
+    return out
 
 
 def _trial_xu(ctx, idx, rng, tol):
@@ -467,28 +519,28 @@ def _trial_tower(ctx, idx, rng, tol):
                          index_residual=worst_idx)
 
 
-# name -> (default trials, default tolerance, setup, trial)
+# name -> (default trials, default tolerance, setup, trials)
 _SUITES = {
-    "entropy-bounds": (500, 1e-9, _setup_entropy_dims((2, 3, 4)), _trial_entropy_bounds),
-    "entropy-vn-shift": (500, 1e-9, _setup_entropy_dims((2, 3, 4, 5, 6)), _trial_vn_shift),
-    "entropy-additivity": (200, 1e-10, _setup_additivity, _trial_additivity),
-    "relent-subadditivity": (200, 1e-9, _setup_subadditivity, _trial_subadditivity),
+    "entropy-bounds": (500, 1e-9, _setup_entropy_dims((2, 3, 4)), _cycled(_entropy_bounds)),
+    "entropy-vn-shift": (500, 1e-9, _setup_entropy_dims((2, 3, 4, 5, 6)), _cycled(_vn_shift)),
+    "entropy-additivity": (200, 1e-10, _setup_additivity, _cycled(_additivity)),
+    "relent-subadditivity": (200, 1e-9, _setup_subadditivity, _stacked(_subadditivity)),
     "relent-restriction-monotone": (200, 1e-9, _setup_restriction_monotone,
-                                    _trial_restriction_monotone),
-    "relent-scaling": (200, 1e-10, _setup_scaling, _trial_relent_scaling),
-    "trace-rescaling": (200, 1e-10, _setup_scaling, _trial_trace_rescaling),
-    "petz-identity": (500, 1e-8, _setup_m2_in_m4, _trial_petz),
+                                    _cycled(_restriction_monotone)),
+    "relent-scaling": (200, 1e-10, _setup_scaling, _cycled(_relent_scaling)),
+    "trace-rescaling": (200, 1e-10, _setup_scaling, _cycled(_trace_rescaling)),
+    "petz-identity": (500, 1e-8, _setup_m2_in_m4, _stacked(_petz)),
     "expectation-entropy-bound": (300, 1e-8, _setup_expectation_bound,
-                                  _trial_expectation_bound),
-    "entropy-gap-bound": (1000, 1e-8, _setup_m2_in_m4, _trial_gap_bound),
+                                  _cycled(_expectation_bound)),
+    "entropy-gap-bound": (1000, 1e-8, _setup_m2_in_m4, _stacked(_gap_bound)),
     "gap-bound-unnormalized": (1000, 1e-8, _setup_gap_unnormalized,
-                               _trial_gap_unnormalized),
-    "reverse-entropy-bound": (500, 1e-8, _setup_m2_in_m4, _trial_reverse_bound),
-    "xu-identity": (200, 1e-6, _setup_m2_in_m4, _trial_xu),
-    "dual-expectation-pairing": (9, 1e-6, _setup_dual_pairing, _trial_dual_pairing),
+                               _stacked(_gap_unnormalized)),
+    "reverse-entropy-bound": (500, 1e-8, _setup_m2_in_m4, _stacked(_reverse_bound)),
+    "xu-identity": (200, 1e-6, _setup_m2_in_m4, _looped(_trial_xu)),
+    "dual-expectation-pairing": (9, 1e-6, _setup_dual_pairing, _looped(_trial_dual_pairing)),
     "subspace-relent-properties": (25, 1e-9, _setup_subspace_props,
-                                   _trial_subspace_props),
-    "tower-identities": (5, 1e-9, _setup_tower, _trial_tower),
+                                   _looped(_trial_subspace_props)),
+    "tower-identities": (5, 1e-9, _setup_tower, _looped(_trial_tower)),
 }
 
 
@@ -498,23 +550,31 @@ def suite_names():
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0,
               tol: float | None = None) -> VerificationReport:
-    """Run one named suite; unknown names raise KeyError with the catalog."""
+    """Run one named suite; unknown names raise KeyError with the catalog.
+
+    Trial i draws from the i-th generator spawned from the seed, whatever
+    the chunk it runs in.
+    """
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
-    default_trials, default_tol, setup, trial = _SUITES[name]
+    default_trials, default_tol, setup, run = _SUITES[name]
     trials = default_trials if trials is None else int(trials)
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
     tol = default_tol if tol is None else float(tol)
     ctx = setup(seed)
     seeds = np.random.SeedSequence(seed).spawn(trials)
 
     started = time.perf_counter()
     records = []
-    for i in range(trials):
-        rec = trial(ctx, i, np.random.default_rng(seeds[i]), tol)
-        rec = {k: _plain(v) if not isinstance(v, (list, str)) else v
-               for k, v in rec.items()}
-        rec["trial"] = i
-        records.append(rec)
+    for first in range(0, trials, CHUNK):
+        idx = range(first, min(first + CHUNK, trials))
+        rngs = [np.random.default_rng(seeds[i]) for i in idx]
+        for i, rec in zip(idx, run(ctx, idx, rngs, tol)):
+            rec = {k: _plain(v) if not isinstance(v, (list, str)) else v
+                   for k, v in rec.items()}
+            rec["trial"] = i
+            records.append(rec)
     elapsed = time.perf_counter() - started
     return VerificationReport(name, trials, seed, tol, records, elapsed)
 

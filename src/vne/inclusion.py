@@ -65,6 +65,8 @@ class Inclusion:
     block form is (+)_l V_l (Tr_{m_l}(V_l* T x V_l) / s_l (x) 1) V_l* for the
     ambient density T and the restricted weights s_l.  It is defined on every
     ambient matrix but only meaningful on members of the ambient algebra.
+    apply, restrict_state and compress_state take a stack of matrices, or a
+    State holding a stack, as well.
     """
 
     ambient: MultiMatrixAlgebra
@@ -557,6 +559,7 @@ class GapReport:
 
 
 def entropy_gap_bound(inc: Inclusion, phi: State) -> GapReport:
+    """The gap report of phi; for a stack of states, its entries are per-member arrays."""
     ent_sub = s_tau(inc.restrict_state(phi))
     ent_amb = s_tau(phi)
     route = rel_entropy_closed(phi, inc.compress_state(phi))

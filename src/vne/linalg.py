@@ -2,7 +2,9 @@
 
 Everything operates on complex numpy arrays.  Matrices are small (desk
 scale, ambient dimension <= 32 or so), so we favour clarity and strict
-validation over speed.
+validation over speed.  The matrix helpers take one matrix of shape (D, D)
+or a stack of shape (..., D, D); a stack is checked member by member, and an
+error names the first failing member.
 """
 
 from __future__ import annotations
@@ -19,86 +21,158 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def frob_each(a):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    # axis=None takes norm's flattened fast path for one matrix
+    return np.linalg.norm(a, axis=None if a.ndim == 2 else (-2, -1))
+
+
 def dagger(a):
-    """Conjugate transpose."""
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def kron(a, b):
+    """np.kron of a and b, member by member when they are stacks."""
+    a, b = np.asarray(a), np.asarray(b)
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (p * r, q * s))
+
+
+def unwrap(a):
+    """A Python scalar for a scalar or 0-d result (one matrix), the array for a stack."""
+    if isinstance(a, (np.ndarray, np.generic)) and a.ndim == 0:
+        return a.item()
+    return a
+
+
+def any_member(flags) -> bool:
+    """Whether any member is flagged; a numpy scalar for one matrix is read directly."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
+
+
+def first_failure(bad) -> tuple:
+    """Index of the first flagged member of a per-member mask; () for one matrix."""
+    return np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+
+
+def member_note(at: tuple) -> str:
+    """Error-message suffix naming a stack member; empty for one matrix."""
+    if not at:
+        return ""
+    return f" (stack member {int(at[0]) if len(at) == 1 else tuple(int(i) for i in at)})"
 
 
 def check_hermitian(h, tol: float = HERM_TOL):
-    """Return h as a complex array, rejecting non-Hermitian input.
+    """Return h as a complex array, rejecting non-finite or non-Hermitian input.
 
-    The allowed asymmetry is tol * (1 + max|h|); the raised error reports
-    the actual violation magnitude.
+    The allowed asymmetry is tol * (1 + max|h|) per matrix; the raised error
+    reports the actual violation magnitude.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = 1.0 + float(np.max(np.abs(h))) if h.size else 1.0
-    dev = float(np.max(np.abs(h - dagger(h)))) if h.size else 0.0
-    if dev > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: max|H - H*| = {dev:.3e} "
-                         f"exceeds {tol:.1e} * (1 + max|H|) = {tol * scale:.3e}")
-    return 0.5 * (h + dagger(h))
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    hd = dagger(h)
+    if h.shape[-1]:
+        top = np.abs(h).max(axis=(-2, -1))
+        infinite = ~(top < np.inf)  # max|h| is NaN or inf exactly when an entry is
+        if any_member(infinite):
+            at = first_failure(infinite)
+            member = h[at]
+            bad = ~np.isfinite(member)
+            i, j = np.argwhere(bad)[0]
+            entry = member[i, j].real if member[i, j].imag == 0 else member[i, j]
+            count = int(bad.sum())
+            what = "a non-finite entry" if count == 1 else f"{count} non-finite entries, the first"
+            raise ValueError(f"matrix has {what} {entry} at ({i}, {j}){member_note(at)}")
+        dev = np.abs(h - hd).max(axis=(-2, -1))
+        over = dev > tol * (1.0 + top)
+        if any_member(over):
+            at = first_failure(over)
+            scale = 1.0 + float(top[at])
+            raise ValueError(f"matrix is not Hermitian: max|H - H*| = {float(dev[at]):.3e} "
+                             f"exceeds {tol:.1e} * (1 + max|H|) = {tol * scale:.3e}"
+                             f"{member_note(at)}")
+    return 0.5 * (h + hd)
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of a Hermitian matrix: ascending eigenvalues, unitary eigenvectors."""
+    """Spectral data of a Hermitian matrix, or of each matrix of a stack:
+    ascending eigenvalues (..., D), unitary eigenvectors (..., D, D)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self):
         w, v = self.eigenvalues, self.eigenvectors
-        return (v * w) @ dagger(v)
+        return (v * w[..., None, :]) @ dagger(v)
 
     def apply(self, f, support_only: bool = False):
         """f of the Hermitian matrix with this spectrum, by spectral mapping.
 
-        With support_only=True, eigenvalues within 1e-12 * max|eig| of zero
-        are mapped to zero without evaluating f (the 0 log 0 = 0 convention).
-        If f evaluates to a non-finite number at some retained eigenvalue, a
-        domain error naming that eigenvalue is raised.
+        f is a scalar function; it is mapped over every retained eigenvalue
+        of the stack in one np.frompyfunc call.  With support_only=True,
+        eigenvalues within 1e-12 * max|eig| of zero (per matrix) are mapped
+        to zero without evaluating f (the 0 log 0 = 0 convention).  If f
+        raises or is non-finite at some retained eigenvalue, a domain error
+        naming the first such eigenvalue is raised.
         """
         w = self.eigenvalues
-        keep = np.ones(w.shape, dtype=bool)
         if support_only:
-            cutoff = 1e-12 * float(np.max(np.abs(w))) if w.size else 0.0
-            keep = np.abs(w) > cutoff
+            keep = np.abs(w) > 1e-12 * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+        else:
+            keep = np.ones(w.shape, dtype=bool)
         fw = np.zeros(w.shape, dtype=complex)
-        if np.any(keep):
-            retained = w[keep]
-            vals = np.empty(retained.shape, dtype=complex)
+        retained = w[keep]
+        if retained.size:
             with np.errstate(all="ignore"):
-                for idx, x in enumerate(retained):
-                    try:
-                        vals[idx] = f(x)
-                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                        raise ValueError(f"function undefined at eigenvalue {x!r}") from exc
-            bad = ~np.isfinite(vals)
-            if np.any(bad):
-                offender = retained[bad][0]
-                raise ValueError(f"function undefined at eigenvalue {offender!r}")
+                try:
+                    vals = np.frompyfunc(f, 1, 1)(retained).astype(complex)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    vals = None
+            if vals is None or not np.isfinite(vals).all():
+                raise ValueError(f"function undefined at eigenvalue {_offender(f, retained)!r}")
             fw[keep] = vals
         v = self.eigenvectors
-        return (v * fw) @ dagger(v)
+        return (v * fw[..., None, :]) @ dagger(v)
+
+
+def _offender(f, values):
+    """The first value at which f raises a domain error or is not finite."""
+    with np.errstate(all="ignore"):
+        for x in values:
+            try:
+                if not np.isfinite(complex(f(x))):
+                    return x
+            except (ValueError, ZeroDivisionError, OverflowError):
+                return x
+    return None
 
 
 def herm_eig(h, tol: float = HERM_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with validated output.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack,
+    with validated output.
 
     Ascending real eigenvalues; reconstruction and unitarity residuals are
-    checked against the input scale before returning.
+    checked per matrix against its scale before returning.
     """
     hh = check_hermitian(h, tol)
     w, v = np.linalg.eigh(hh)
-    scale = max(frob(hh), 1e-300)
-    resid = frob((v * w) @ dagger(v) - hh)
-    if resid > 1e-10 * scale:
-        raise ArithmeticError(f"eigendecomposition residual {resid:.3e} exceeds 1e-10 * |H|_F")
-    unit = frob(dagger(v) @ v - np.eye(hh.shape[0]))
-    if unit > 1e-10:
-        raise ArithmeticError(f"eigenvector unitarity residual {unit:.3e} exceeds 1e-10")
+    vh = dagger(v)
+    resid = frob_each((v * w[..., None, :]) @ vh - hh)
+    over = resid > 1e-10 * np.maximum(frob_each(hh), 1e-300)
+    if any_member(over):
+        at = first_failure(over)
+        raise ArithmeticError(f"eigendecomposition residual {float(resid[at]):.3e} "
+                              f"exceeds 1e-10 * |H|_F{member_note(at)}")
+    unit = frob_each(vh @ v - np.eye(hh.shape[-1]))
+    over = unit > 1e-10
+    if any_member(over):
+        at = first_failure(over)
+        raise ArithmeticError(f"eigenvector unitarity residual {float(unit[at]):.3e} "
+                              f"exceeds 1e-10{member_note(at)}")
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 

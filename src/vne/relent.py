@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight
-from .linalg import check_hermitian, dagger, frob, herm_eig
+from .linalg import EigenSystem, any_member, check_hermitian, dagger, frob, herm_eig, unwrap
 from .states import POS_INF, State, restrict
 
 _LOG = lambda x: math.log(x.real)
@@ -40,10 +40,20 @@ def _block_diag(blocks) -> np.ndarray:
 def _support_projection(phi: State):
     es = phi.spectrum()
     w = es.eigenvalues
-    cutoff = 1e-12 * float(np.max(np.abs(w))) if w.size else 0.0
-    keep = w > cutoff
-    v = es.eigenvectors[:, keep]
+    keep = w > 1e-12 * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    v = es.eigenvectors * keep[..., None, :]
     return v @ dagger(v)
+
+
+def _log_density(phi: State, skip):
+    """log rho on the support, per member; members flagged in skip get 0.
+
+    A skipped member's value is replaced by the caller, so its spectrum is
+    swapped for ones and f is never evaluated on it.
+    """
+    es = phi.spectrum()
+    w = np.where(skip[..., None], 1.0, es.eigenvalues)
+    return EigenSystem(w, es.eigenvectors).apply(_LOG, support_only=True)
 
 
 def _check_same_algebra(phi: State, psi: State):
@@ -53,20 +63,19 @@ def _check_same_algebra(phi: State, psi: State):
         raise ValueError("functionals must be expressed against the same trace weight")
 
 
-def rel_entropy_closed(phi: State, psi: State) -> float:
-    """S(phi||psi) = tau(rho_phi (log rho_phi - log rho_psi)).
+def rel_entropy_closed(phi: State, psi: State):
+    """S(phi||psi) = tau(rho_phi (log rho_phi - log rho_psi)), per stack member.
 
     Support violation (phi charging the kernel of psi) yields +inf.
     """
     _check_same_algebra(phi, psi)
     p_psi = _support_projection(psi)
-    leak = float(np.real(phi.tau.value(phi.rho @ (np.eye(phi.algebra.dim) - p_psi))))
-    if leak > 1e-10 * max(1.0, phi.mass):
-        return POS_INF
-    log_phi = phi.density_function(_LOG, support_only=True)
-    log_psi = psi.density_function(_LOG, support_only=True)
-    val = phi.tau.value(phi.rho @ (log_phi - log_psi))
-    return float(np.real(val))
+    leak = np.real(phi.tau.value(phi.rho @ (np.eye(phi.algebra.dim) - p_psi)))
+    leaks = leak > 1e-10 * np.maximum(1.0, phi.mass)
+    if not any_member(~leaks):
+        return unwrap(np.full(leaks.shape, POS_INF))
+    val = np.real(phi.tau.value(phi.rho @ (_log_density(phi, leaks) - _log_density(psi, leaks))))
+    return unwrap(np.where(leaks, POS_INF, val))
 
 
 # -- the standard form and the modular route ---------------------------------
@@ -303,7 +312,10 @@ class PetzDecomposition:
 
 
 def petz_decompose(phi: State, psi: State, inc) -> PetzDecomposition:
-    """S(phi||psi o eps) = S(phi|_B||psi|_B) + S(phi||phi o eps) for eps onto B."""
+    """S(phi||psi o eps) = S(phi|_B||psi|_B) + S(phi||phi o eps) for eps onto B.
+
+    For stacks of states each term is a per-member array.
+    """
     _check_same_algebra(phi, psi)
     a = phi.algebra
     psi_eps = State(a, phi.tau, inc.apply(psi.rho))
@@ -314,17 +326,20 @@ def petz_decompose(phi: State, psi: State, inc) -> PetzDecomposition:
     return PetzDecomposition(lhs=lhs, restriction_term=restriction, expectation_term=expectation)
 
 
-def reverse_entropy(tau: TraceWeight, phi: State) -> float:
+def reverse_entropy(tau: TraceWeight, phi: State):
     """S(tau||phi) = -tau(log rho_phi) for the tracial state of a normalized trace.
 
     +inf when phi is not faithful (the tracial state charges every corner).
+    A faithful density has no eigenvalue near enough to zero for the support
+    cutoff of _log_density to drop it, so that is the full log rho.
     """
     if abs(tau.total - 1.0) > 1e-10:
         raise ValueError(f"reverse_entropy requires a normalized trace, got tau(1) = {tau.total}")
-    if not phi.is_faithful:
-        return POS_INF
-    log_rho = phi.density_function(_LOG)
-    return float(-np.real(tau.value(log_rho)))
+    unfaithful = ~np.asarray(phi.is_faithful)
+    if not any_member(~unfaithful):
+        return unwrap(np.full(unfaithful.shape, POS_INF))
+    val = -np.real(tau.value(_log_density(phi, unfaithful)))
+    return unwrap(np.where(unfaithful, POS_INF, val))
 
 
 def bounded_entropy_approximation(phi: State, k: float) -> State:

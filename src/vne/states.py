@@ -2,7 +2,9 @@
 
 A functional phi is stored through its density rho with respect to a trace
 weight tau: phi(x) = tau(rho x).  States have mass tau(rho) = 1; general
-positive functionals carry any positive mass.
+positive functionals carry any positive mass.  A State may hold a stack of
+densities (..., D, D) on one algebra and trace; its mass, the entropies and
+the restriction are then one value per member.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight, tensor_algebra
-from .linalg import EigenSystem, check_hermitian, dagger, frob, herm_eig, matrix_function
+from .linalg import (
+    EigenSystem,
+    any_member,
+    check_hermitian,
+    dagger,
+    first_failure,
+    frob_each,
+    herm_eig,
+    kron,
+    matrix_function,
+    member_note,
+    unwrap,
+)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -25,15 +39,17 @@ _XLOGX = lambda x: x * math.log(x.real) if x.real > 0 else 0.0
 class State:
     """Positive functional phi(x) = tau(rho x) on a multi-matrix algebra.
 
-    rho is a private read-only copy of the given density. Its eigensystem,
-    computed and validated once at construction, serves every spectral
-    function of the state (spectrum, density_function).
+    rho is a private read-only copy of the given density, or of a stack of
+    densities. Its eigensystem, computed and validated once at construction,
+    serves every spectral function of the state (spectrum,
+    density_function). For a stack, mass is an array and every check
+    applies to each member; an error names the first failing member.
     """
 
     algebra: MultiMatrixAlgebra
     tau: TraceWeight
     rho: np.ndarray
-    mass: float = field(default=None)
+    mass: float | np.ndarray = field(default=None)
     _eig: EigenSystem = field(init=False, repr=False)
     _hermitian_checked: bool = field(init=False, repr=False, default=False)
 
@@ -44,14 +60,23 @@ class State:
         self._eig = herm_eig(self.rho, tol=1e-10)
         w = self._eig.eigenvalues
         w.flags.writeable = self._eig.eigenvectors.flags.writeable = False
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-        if w.size and float(w[0]) < -1e-10 * scale:
-            raise ValueError(f"density has negative eigenvalue {float(w[0]):.3e}")
-        mass = float(np.real(self.tau.value(self.rho)))
+        negative = w[..., 0] < -1e-10 * np.maximum(1.0, np.abs(w).max(axis=-1))
+        if any_member(negative):
+            at = first_failure(negative)
+            raise ValueError(f"density has negative eigenvalue {float(w[at][0]):.3e}"
+                             f"{member_note(at)}")
+        mass = np.real(self.tau.value(self.rho))
         if self.mass is None:
             self.mass = mass
-        elif abs(mass - self.mass) > 1e-10 * max(1.0, abs(self.mass)):
-            raise ValueError(f"declared mass {self.mass} but tau(rho) = {mass}")
+            return
+        declared = np.asarray(self.mass, dtype=float)
+        if not np.isfinite(declared).all():
+            raise ValueError(f"declared mass must be finite, got {self.mass}")
+        off = np.abs(mass - declared) > 1e-10 * np.maximum(1.0, np.abs(declared))
+        if any_member(off):
+            at = first_failure(off)
+            raise ValueError(f"declared mass {declared[at]} but tau(rho) = "
+                             f"{np.asarray(mass)[at]}{member_note(at)}")
 
     def __call__(self, x) -> complex:
         return self.tau.value(self.rho @ np.asarray(x, dtype=complex))
@@ -76,17 +101,18 @@ class State:
         """f(rho) by spectral mapping; equal to matrix_function(rho, f, support_only)."""
         return self.spectrum().apply(f, support_only)
 
-    def min_eigenvalue(self) -> float:
-        return float(self.spectrum().eigenvalues[0])
+    def min_eigenvalue(self):
+        return unwrap(self.spectrum().eigenvalues[..., 0])
 
     @property
-    def is_faithful(self) -> bool:
-        return self.min_eigenvalue() > 1e-12 * max(1.0, frob(self.rho))
+    def is_faithful(self):
+        return unwrap(self.min_eigenvalue() > 1e-12 * np.maximum(1.0, frob_each(self.rho)))
 
-    def scaled(self, c: float) -> "State":
-        if not c > 0:
-            raise ValueError("scaling of a positive functional must be positive")
-        return State(self.algebra, self.tau, c * self.rho)
+    def scaled(self, c) -> "State":
+        c = np.asarray(c, dtype=float)
+        if not (np.all(c > 0) and np.isfinite(c).all()):
+            raise ValueError("scaling of a positive functional must be positive and finite")
+        return State(self.algebra, self.tau, c[..., None, None] * self.rho)
 
 
 def maximally_mixed(algebra: MultiMatrixAlgebra, tau: TraceWeight) -> State:
@@ -99,6 +125,8 @@ def pure_state(algebra: MultiMatrixAlgebra, tau: TraceWeight, vector) -> State:
     if algebra.blocks != ((algebra.dim, 1),):
         raise ValueError("pure_state requires a full matrix algebra acting on its own space")
     v = np.asarray(vector, dtype=complex).reshape(-1, 1)
+    if not (np.isfinite(v).all() and np.any(v)):
+        raise ValueError("pure_state requires a nonzero finite vector")
     p = v @ dagger(v)
     return State(algebra, tau, p / float(np.real(tau.value(p))))
 
@@ -106,17 +134,17 @@ def pure_state(algebra: MultiMatrixAlgebra, tau: TraceWeight, vector) -> State:
 # -- entropies ---------------------------------------------------------------
 
 
-def s_tau(phi: State, require_faithful: bool = False) -> float:
+def s_tau(phi: State, require_faithful: bool = False):
     """Entropy relative to the trace: -tau(rho log rho), 0 log 0 = 0.
 
     With require_faithful=True a support-deficient density yields the
     distinguished -inf marker instead of the finite spectral sum.
     """
-    if require_faithful and not phi.is_faithful:
-        return NEG_INF
     xlx = phi.density_function(_XLOGX, support_only=True)
     val = -np.real(phi.tau.value(xlx))
-    return float(val)
+    if require_faithful:
+        val = np.where(phi.is_faithful, val, NEG_INF)
+    return unwrap(val)
 
 
 def s_vn(phi: State) -> float:
@@ -127,13 +155,13 @@ def s_vn(phi: State) -> float:
     -sum_k Tr(sigma_k log sigma_k). On a full matrix algebra this is the
     usual -Tr(sigma log sigma).
     """
-    if not phi.is_state:
+    if not np.all(phi.is_state):
         raise ValueError(f"s_vn requires a normalized state, got mass {phi.mass}")
     total = 0.0
     for w, c in zip(phi.tau.weights, phi.algebra.block_components(phi.rho)):
         xlx = matrix_function(w * c, _XLOGX, support_only=True)
-        total -= float(np.real(np.trace(xlx)))
-    return total
+        total -= np.real(np.trace(xlx, axis1=-2, axis2=-1))
+    return unwrap(total)
 
 
 def rescale_trace(phi: State, lam: float) -> State:
@@ -148,7 +176,7 @@ def tensor_state(phi: State, psi: State,
         else tensor_algebra(phi.algebra, psi.algebra)
     weights = tuple(wa * wb for wa in phi.tau.weights for wb in psi.tau.weights)
     tau = TraceWeight(alg, weights)
-    return State(alg, tau, np.kron(phi.rho, psi.rho))
+    return State(alg, tau, kron(phi.rho, psi.rho))
 
 
 def restrict(phi: State, sub: MultiMatrixAlgebra) -> State:

@@ -21,12 +21,15 @@ from vne.inclusion import (
     tensor_pair_inclusion,
     trace_expectation,
 )
+from vne.states import s_tau
 
-ALL_SUITES = (
+CHEAP_SUITES = (
     "entropy-bounds", "entropy-vn-shift", "entropy-additivity",
     "relent-subadditivity", "relent-restriction-monotone", "relent-scaling",
     "trace-rescaling", "petz-identity", "expectation-entropy-bound",
     "entropy-gap-bound", "gap-bound-unnormalized", "reverse-entropy-bound",
+)
+ALL_SUITES = CHEAP_SUITES + (
     "xu-identity", "dual-expectation-pairing", "subspace-relent-properties",
     "tower-identities",
 )
@@ -127,6 +130,57 @@ class TestSuites:
         rep = run_suite("entropy-gap-bound", trials=10, seed=3)
         assert rep.min_slack <= rep.max_slack
         assert rep.max_violation >= 0.0
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_non_positive_trial_count(self, trials):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            run_suite("entropy-bounds", trials=trials)
+
+    def test_cheap_suites_diagonalize_per_chunk(self, monkeypatch):
+        # a suite that stacks its chunk makes as many eigh calls for 40
+        # trials as for 80 (both below one chunk); only the index ascents
+        # of expectation, gap and reverse suites add calls, a fixed number
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for name in CHEAP_SUITES:
+            counts = []
+            for trials in (40, 80):
+                calls.clear()
+                run_suite(name, trials=trials, seed=5)
+                counts.append(len(calls))
+            assert counts[0] == counts[1], (name, counts)
+            assert 0 < counts[0]
+
+    def test_stacked_trials_match_single_draws(self):
+        # trial i draws from the i-th spawned generator whatever its chunk;
+        # 260 trials span two chunks
+        seeds = np.random.SeedSequence(8).spawn(260)
+        records = run_suite("entropy-bounds", trials=260, seed=8).records
+        assert [r["trial"] for r in records] == list(range(260))
+        for i in (0, 1, 2, 254, 255, 256, 257, 259):
+            alg = full_matrix_algebra((2, 3, 4)[i % 3])
+            phi = random_state(Ensemble(dim=alg.dim), alg, normalized_trace(alg),
+                               np.random.default_rng(seeds[i]))
+            assert records[i]["dim"] == alg.dim
+            assert abs(records[i]["entropy"] - s_tau(phi)) <= 1e-14
+
+    def test_random_state_stacks_each_generators_draw(self):
+        alg = algebra_from_blocks([(2, 1), (1, 2)])
+        tau = normalized_trace(alg)
+        for kind, spectrum in (("hilbert-schmidt", None), ("purified-haar", None),
+                               ("spectrum-fixed", (0.5, 0.3, 0.2))):
+            ens = Ensemble(kind=kind, dim=alg.dim, spectrum=spectrum, floor=0.01)
+            stack = random_state(ens, alg, tau, [np.random.default_rng(s) for s in range(5)])
+            assert stack.rho.shape == (5, 4, 4)
+            for s in range(5):
+                one = random_state(ens, alg, tau, np.random.default_rng(s))
+                assert np.array_equal(stack.rho[s], one.rho)
 
 
 class TestMaximizeGap:

@@ -45,6 +45,27 @@ class TestCheckHermitian:
         with pytest.raises(ValueError, match="square"):
             check_hermitian(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN compares false with every threshold; it must not pass as Hermitian
+        h = np.eye(3, dtype=complex)
+        h[1, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2\)"):
+            check_hermitian(h)
+
+    def test_stack_error_names_the_member(self):
+        stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+        with pytest.raises(ValueError, match=r"not Hermitian.*\(stack member 2\)"):
+            check_hermitian(stack)
+        stack[2] = np.eye(2)
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*\(stack member 3\)"):
+            check_hermitian(stack)
+        stack = stack[:3].reshape(3, 1, 2, 2)
+        stack[2, 0, 0, 1] = 5.0
+        with pytest.raises(ValueError, match=r"\(stack member \(2, 0\)\)"):
+            check_hermitian(stack)
+
 
 class TestHermEig:
     def test_ascending_and_reconstructs(self):
@@ -57,6 +78,20 @@ class TestHermEig:
     def test_known_spectrum(self):
         es = herm_eig(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(es.eigenvalues, [1.0, 2.0, 3.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite entry nan"):
+            herm_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_stack_equals_one_call_per_matrix(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 6):
+            stack = np.stack([random_hermitian(rng, n) for _ in range(7)])
+            es = herm_eig(stack)
+            for k in range(7):
+                one = herm_eig(stack[k])
+                assert np.array_equal(es.eigenvalues[k], one.eigenvalues)
+                assert np.array_equal(es.eigenvectors[k], one.eigenvectors)
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -85,6 +120,22 @@ class TestMatrixFunction:
     def test_undefined_value_raises(self):
         with pytest.raises(ValueError, match="undefined at eigenvalue"):
             matrix_function(np.diag([0.0, 1.0]), lambda x: math.log(x.real))
+
+    def test_undefined_value_in_a_stack_names_the_first_offender(self):
+        stack = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, -1.0]), np.diag([-2.0, 1.0])])
+        with pytest.raises(ValueError, match=r"undefined at eigenvalue np.float64\(-1.0\)"):
+            matrix_function(stack, lambda x: math.log(x.real))
+        with pytest.raises(ValueError, match=r"undefined at eigenvalue np.float64\(0.0\)"):
+            matrix_function(np.diag([0.0, 1.0]), lambda x: 1.0 / x)
+
+    def test_stack_maps_each_matrix_as_alone(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_psd(rng, 4, floor=0.1) for _ in range(6)])
+        stack[2] = np.diag([0.0, 0.0, 1.0, 2.0])  # support_only drops its kernel
+        log = lambda x: math.log(x.real)
+        out = matrix_function(stack, log, support_only=True)
+        for k in range(6):
+            assert np.array_equal(out[k], matrix_function(stack[k], log, support_only=True))
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)

@@ -63,6 +63,29 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="declared mass"):
             State(a, normalized_trace(a), np.eye(2), mass=2.0)
 
+    def test_rejects_nan_density(self):
+        a = full_matrix_algebra(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            State(a, normalized_trace(a), [[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("mass", [np.nan, np.inf])
+    def test_rejects_non_finite_declared_mass(self, mass):
+        a = full_matrix_algebra(2)
+        with pytest.raises(ValueError, match="declared mass must be finite"):
+            State(a, normalized_trace(a), np.eye(2), mass=mass)
+
+    def test_pure_state_rejects_zero_vector(self):
+        a = full_matrix_algebra(2)
+        with pytest.raises(ValueError, match="nonzero finite vector"):
+            pure_state(a, normalized_trace(a), [0.0, 0.0])
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan, 0.0, -1.0])
+    def test_scaling_must_be_positive_and_finite(self, c):
+        a = full_matrix_algebra(2)
+        phi = State(a, normalized_trace(a), np.eye(2))
+        with pytest.raises(ValueError, match="positive and finite"):
+            phi.scaled(c)
+
     def test_functional_evaluation(self):
         a = full_matrix_algebra(2)
         tau = normalized_trace(a)
