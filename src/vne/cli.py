@@ -196,20 +196,17 @@ def cmd_verify(spec: SpecFile, args) -> int:
 
 def cmd_maximize(spec: SpecFile, args) -> int:
     name = args.inclusion
-    inc = spec.inclusion(name)
-    seed = 0 if args.seed is None else args.seed
-    res = maximize_gap(inc, seed=seed)
+    res = maximize_gap(spec.inclusion(name))
     print(f"maximize entropy gap on {name}")
     print(f"  best gap  = {_display(res.gap, args.log2)}")
     print(f"  ceiling   = {_display(res.bound, args.log2)} (log pp_positive)")
     print(f"  shortfall = {res.shortfall:.3e}")
-    print(f"  converged = {res.converged} "
-          f"(restarts {res.restarts_used}, evaluations {res.evaluations})")
+    # the closed maximizer is one construction; the two counts keep the output keys
+    print(f"  converged = {res.converged} (restarts 1, evaluations 1)")
     if args.out:
         payload = {"inclusion": name, "gap": res.gap, "bound": res.bound,
                    "shortfall": res.shortfall, "converged": res.converged,
-                   "restarts_used": res.restarts_used,
-                   "evaluations": res.evaluations}
+                   "restarts_used": 1, "evaluations": 1}
         print(f"  wrote {_write_json(args.out, f'maximize-{name}.json', payload)}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Randomized verification suites and bound-saturation optimization.
+"""Randomized verification suites and the state saturating the entropy gap bound.
 
 Each suite checks one identity or inequality over a seeded random ensemble
 and reports signed slacks per trial; a report passes when the worst
@@ -38,7 +38,7 @@ from .inclusion import (
     trace_expectation,
     xu_identity,
 )
-from .linalg import dagger, kron, partial_trace
+from .linalg import dagger, herm_eig, kron, partial_trace
 from .relent import (
     KosakiGrid,
     kosaki_eval,
@@ -46,7 +46,7 @@ from .relent import (
     rel_entropy_closed,
     reverse_entropy,
 )
-from .states import State, maximally_mixed, rescale_trace, restrict, s_tau, s_vn, tensor_state
+from .states import State, rescale_trace, restrict, s_tau, s_vn, tensor_state
 
 __all__ = [
     "Ensemble",
@@ -588,110 +588,46 @@ class MaximizeResult:
     gap: float
     bound: float
     converged: bool
-    restarts_used: int
-    evaluations: int
 
     @property
     def shortfall(self) -> float:
         return self.bound - self.gap
 
 
-def _entangled_vector(p: int, q: int) -> np.ndarray:
-    r = min(p, q)
-    v = np.zeros(p * q, dtype=complex)
-    for i in range(r):
-        v[i * q + i] = 1.0
-    return v / math.sqrt(r)
+def maximize_gap(inc: Inclusion) -> MaximizeResult:
+    """The state attaining sup over states of S_tau(phi|sub) - S_tau(phi) = log pp_positive.
 
+    The gap is S(phi || phi o eps). It is at most log pp_positive, because
+    eps(x) >= x / pp_positive for x >= 0 and log is operator monotone. It is
+    convex in phi (relative entropy is jointly convex and phi o eps is linear
+    in phi), so the supremum sits at a pure state of one ambient block, and
+    Pimsner-Popa (1986, sec. 6) give that state in closed form. In the block k
+    attaining the index, C^{n_k} = (+)_l C^{n_l} (x) C^{Lambda_kl} under the
+    subalgebra, and the maximizer is the vector state of
+    u = (+)_l sqrt(p_l / r_l) sum_{i<r_l} e_i (x) f_i: maximally entangled of
+    Schmidt rank r_l = min(Lambda_kl, n_l) in each sub block, weighted by
+    p_l proportional to r_l s_l for the sub trace weights s. Here
+    e_i (x) f_i = c_i0 g_i, for the block-k components c_ij of the sub's
+    matrix units and an orthonormal basis g of the range of the projection c_00.
 
-def maximize_gap(inc: Inclusion, restarts: int = 200, seed: int = 0,
-                 stop_within: float = 1e-6, maxiter: int | None = None) -> MaximizeResult:
-    """Search for sup over states of S_tau(phi|sub) - S_tau(phi).
-
-    Derivative-free: densities are parametrized per ambient block as G G*
-    for an unconstrained complex G, normalized to unit mass, and refined by
-    Nelder-Mead from seeded and random starts. The first starts are the
-    maximally entangled vector for bipartite inclusions and basis pure
-    states; the search stops early once the index bound is approached
-    within stop_within.
+    converged holds when the gap meets the ceiling within 1e-9 relative and
+    its two routes (entropy difference and relative entropy) agree within 1e-9.
     """
-    # scipy loads only here: no verify suite searches, and importing vne stays light
-    from scipy.optimize import minimize
-
-    alg, tau = inc.ambient, inc.tau
-    bound = math.log(inc.index_report().pp_positive)
-    sizes = [n for n, _ in alg.blocks]
-    nparam = 2 * sum(n * n for n in sizes)
-    evals = 0
-
-    def build(xvec: np.ndarray) -> State | None:
-        comps = []
-        pos = 0
-        for n in sizes:
-            re = xvec[pos: pos + n * n].reshape(n, n)
-            im = xvec[pos + n * n: pos + 2 * n * n].reshape(n, n)
-            g = re + 1j * im
-            comps.append(g @ g.conj().T + 1e-14 * np.eye(n))
-            pos += 2 * n * n
-        raw = alg.embed(comps)
-        mass = float(np.real(tau.value(raw)))
-        if not mass > 1e-12:
-            return None
-        return State(alg, tau, raw / mass)
-
-    def objective(xvec: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        phi = build(xvec)
-        if phi is None:
-            return 1e6
-        return -(s_tau(inc.restrict_state(phi)) - s_tau(phi))
-
-    def pack(mat: np.ndarray) -> np.ndarray:
-        # PSD member -> parameters via its square root per block
-        out = np.zeros(nparam)
-        pos = 0
-        for k, n in enumerate(sizes):
-            c = alg.block_component(mat, k)
-            w, v = np.linalg.eigh(0.5 * (c + dagger(c)))
-            g = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-            out[pos: pos + n * n] = g.real.ravel()
-            out[pos + n * n: pos + 2 * n * n] = g.imag.ravel()
-            pos += 2 * n * n
-        return out
-
-    rng = np.random.default_rng(seed)
-    starts = []
-    if inc.bipartite is not None and len(alg.blocks) == 1:
-        v = _entangled_vector(*inc.bipartite)
-        starts.append(pack(np.outer(v, v.conj())))
-    for k in range(len(sizes)):
-        starts.append(pack(alg.minimal_projection(k)))
-    starts.append(pack(alg.identity()))
-
-    best_val = -math.inf
-    best_state = maximally_mixed(alg, tau)
-    used = 0
-    itcap = maxiter if maxiter is not None else 200 * nparam
-    for r in range(restarts):
-        used = r + 1
-        x0 = starts[r] if r < len(starts) else rng.normal(size=nparam)
-        f0 = -objective(x0)
-        if f0 > best_val:
-            best_val = f0
-            cand = build(x0)
-            if cand is not None:
-                best_state = cand
-        if bound - best_val <= stop_within:
-            break
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": itcap, "xatol": 1e-7, "fatol": 1e-10})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            cand = build(res.x)
-            if cand is not None:
-                best_state = cand
-        if bound - best_val <= stop_within:
-            break
-    converged = bound - best_val <= max(stop_within, 1e-4)
-    return MaximizeResult(best_state, best_val, bound, converged, used, evals)
+    alg, k = inc.ambient, inc.index_report().witness_block
+    s = inc.sub_trace.weights
+    u = np.zeros(alg.blocks[k][0], dtype=complex)
+    for l, (n_l, _) in enumerate(inc.sub.blocks):
+        c = [alg.block_component(inc.sub.matrix_unit(l, i, 0), k) for i in range(n_l)]
+        es = herm_eig(c[0])
+        g = es.eigenvectors[:, es.eigenvalues > 0.5]  # Lambda_kl columns
+        # sqrt(p_l / r_l) = sqrt(s_l) up to one factor for all l; the state is normalized below
+        for i in range(min(g.shape[1], n_l)):
+            u += math.sqrt(s[l]) * (c[i] @ g[:, i])
+    comps = [np.zeros((n, n), dtype=complex) for n, _ in alg.blocks]
+    comps[k] = np.outer(u, u.conj())
+    raw = alg.embed(comps)
+    phi = State(alg, inc.tau, raw / float(np.real(inc.tau.value(raw))))
+    rep = entropy_gap_bound(inc, phi)
+    converged = (abs(rep.slack) <= 1e-9 * max(1.0, abs(rep.bound))
+                 and rep.route_residual <= 1e-9)
+    return MaximizeResult(phi, rep.gap, rep.bound, converged)

@@ -114,8 +114,8 @@ def test_criterion_04_entropy_gap_bound_both_traces():
 
 
 def test_criterion_05_gap_maximization_reaches_ceiling():
-    res_tensor = maximize_gap(tensor_pair_inclusion(2, 2), seed=0)
-    res_scalar = maximize_gap(scalar_inclusion(2), seed=0)
+    res_tensor = maximize_gap(tensor_pair_inclusion(2, 2))
+    res_scalar = maximize_gap(scalar_inclusion(2))
     ok = (res_tensor.gap >= math.log(4.0) - 1e-4
           and res_scalar.gap >= math.log(2.0) - 1e-4)
     _line(5, "maximize_gap saturates log-index",

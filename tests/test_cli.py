@@ -101,6 +101,17 @@ class TestMaximizeCommand:
         assert abs(gap - math.log(4.0)) < 1e-4
         assert "converged = True" in out
 
+    def test_report_keeps_every_key(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "maximize", "c-in-m3", "--spec", SPEC,
+                             "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "maximize-c-in-m3.json").read_text())
+        assert sorted(payload) == ["bound", "converged", "evaluations", "gap", "inclusion",
+                                   "restarts_used", "shortfall"]
+        assert payload["restarts_used"] == payload["evaluations"] == 1
+        assert payload["converged"] is True
+        assert abs(payload["gap"] - math.log(3.0)) <= 1e-9
+
 
 class TestVerifyCommand:
     def test_smoke_experiment_passes(self, capsys, tmp_path):
@@ -120,15 +131,17 @@ class TestVerifyCommand:
         assert "3/3 suites passed" in proc.stdout
 
     def test_imports_without_scipy(self):
-        # only maximize_gap needs scipy, and it imports it on first call
+        # numpy is the only run-time dependency, also for the gap maximizer
         package_root = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         code = ("import sys, vne, vne.cli; "
+                f"assert vne.cli.main(['maximize', 'm2-in-m4', '--spec', {SPEC!r}]) == 0; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert "converged = True" in proc.stdout
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_writes_report_per_suite_and_csv(self, capsys, tmp_path):
         out_dir = tmp_path / "rep"
