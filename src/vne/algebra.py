@@ -20,20 +20,6 @@ from .linalg import any_member, dagger, first_failure, frob, frob_each, herm_eig
 SPAN_TOL = 1e-9
 
 
-def _null_columns(a: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of a, via an economy SVD.
-
-    The stacked commutation systems below are very tall; a full-matrices
-    SVD would materialize the m x m left factor for nothing.
-    """
-    m, n = a.shape
-    if m < n:
-        a = np.concatenate([a, np.zeros((n - m, n), dtype=a.dtype)], axis=0)
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = rcond * max(float(s[0]) if s.size else 0.0, 1.0)
-    return vh[s <= tol].conj().T
-
-
 def _orthonormal_rows(mat, tol=1e-10):
     """Orthonormal basis of the row space, via SVD."""
     mat = np.asarray(mat, dtype=complex)
@@ -369,29 +355,33 @@ def ambient_trace(algebra: MultiMatrixAlgebra) -> TraceWeight:
 # -- commutants and block decomposition -------------------------------------
 
 
-def commutant(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra:
-    """The commutant of a self-adjoint generating set inside M_ambient_dim.
+def commutant_of(alg: MultiMatrixAlgebra) -> MultiMatrixAlgebra:
+    """The commutant sum_k V_k (1_{n_k} (x) M_{m_k}) V_k* of a block algebra.
 
-    Computed as the joint nullspace of x -> g x - x g over the generators and
-    their adjoints (one block for a generator equal to its adjoint), then
-    structured by wedderburn_decompose.
+    It has the same isometries with the columns of V_k reordered from
+    (i, alpha) to (alpha, i), and blocks (m_k, n_k) (Jones 1983, Index for
+    subfactors): block k of the result is block k of alg, transposed.
     """
-    d = ambient_dim
+    d = alg.dim
+    isometries = [v.reshape(d, n, m).transpose(0, 2, 1).reshape(d, n * m)
+                  for v, (n, m) in zip(alg.isometries, alg.blocks)]
+    return MultiMatrixAlgebra(dim=d, blocks=tuple((m, n) for n, m in alg.blocks),
+                              isometries=isometries)
+
+
+def commutant(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra:
+    """The commutant of a set of generators inside M_ambient_dim.
+
+    The commutant of the *-algebra they generate, as commutant_of gives it.
+    Certified: every generating unit of the result commutes with every
+    generator and its adjoint, which makes the whole result commute with them.
+    """
     gens = [np.asarray(g, dtype=complex) for g in generators]
-    rows = []
-    eye = np.eye(d, dtype=complex)
-    for g in gens:
-        adjoint = dagger(g)
-        for gg in (g,) if np.array_equal(g, adjoint) else (g, adjoint):
-            rows.append(np.kron(gg, eye) - np.kron(eye, gg.T))
-    stacked = np.concatenate(rows, axis=0)
-    ns = _null_columns(stacked)
-    if ns.shape[1] == 0:
-        raise ValueError("commutant computation produced an empty span")
-    span = ns.T.reshape(-1, d, d)
-    alg = wedderburn_decompose(span, seed=seed)
-    worst = max(frob(g @ b - b @ g) for g in gens for b in alg.canonical_basis())
-    if worst > 1e-10 * max(1.0, max(frob(g) for g in gens)):
+    alg = commutant_of(generated_algebra(gens, ambient_dim, seed=seed))
+    units = alg.generating_units()
+    worst = max((frob(h @ u - u @ h) for g in gens for h in (g, dagger(g)) for u in units),
+                default=0.0)
+    if worst > 1e-10 * max(1.0, max((frob(g) for g in gens), default=1.0)):
         raise ArithmeticError(f"commutant residual {worst:.3e} exceeds 1e-10")
     return alg
 

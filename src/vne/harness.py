@@ -218,9 +218,9 @@ class VerificationReport:
 # numbered idx, trial i with its own generator rngs[i - idx[0]], and returns
 # their records in order. A record holds at least "slack" (signed distance to
 # the sharp statement) and "violation" (how far past the statement the trial
-# landed, 0 when inside). The cheap suites draw a chunk's states as one stack
-# and evaluate each step once per chunk; their per-trial arithmetic on the
-# resulting floats is plain Python, as it was per trial.
+# landed, 0 when inside). The cheap suites and xu-identity draw a chunk's
+# states as one stack and evaluate each step once per chunk; their per-trial
+# arithmetic on the resulting floats is plain Python, as it was per trial.
 
 CHUNK = 256  # trials per stack: larger chunks raise peak memory, smaller ones cost calls
 
@@ -450,13 +450,12 @@ def _reverse_bound(ctx, rngs, tol):
     return out
 
 
-def _trial_xu(ctx, idx, rng, tol):
+def _xu(ctx, rngs, tol):
     inc = ctx["inc"]
-    phi = _faithful(rng, inc.ambient, inc.tau)
-    xr = xu_identity(inc, phi)
-    return _identity_record(xr.residual, term_sub=xr.term_sub,
-                            term_commutant=xr.term_commutant,
-                            log_index=xr.log_index)
+    xr = xu_identity(inc, _faithful(rngs, inc.ambient, inc.tau))
+    return [_identity_record(r, term_sub=s, term_commutant=c, log_index=xr.log_index)
+            for r, s, c in zip(xr.residual.tolist(), xr.term_sub.tolist(),
+                               xr.term_commutant.tolist())]
 
 
 def _setup_dual_pairing(seed):
@@ -464,7 +463,7 @@ def _setup_dual_pairing(seed):
 
 
 def _trial_dual_pairing(ctx, idx, rng, tol):
-    # re-derives the commutant decomposition with a fresh seed each trial
+    # re-derives the dual side with a fresh seed each trial
     inc = ctx[idx % len(ctx)]
     du = dual_expectation(inc, seed=int(rng.integers(1, 2 ** 31)))
     return _identity_record(du.pairing_residual, index=du.scalar_index)
@@ -536,7 +535,7 @@ _SUITES = {
     "gap-bound-unnormalized": (1000, 1e-8, _setup_gap_unnormalized,
                                _stacked(_gap_unnormalized)),
     "reverse-entropy-bound": (500, 1e-8, _setup_m2_in_m4, _stacked(_reverse_bound)),
-    "xu-identity": (200, 1e-6, _setup_m2_in_m4, _looped(_trial_xu)),
+    "xu-identity": (200, 1e-6, _setup_m2_in_m4, _stacked(_xu)),
     "dual-expectation-pairing": (9, 1e-6, _setup_dual_pairing, _looped(_trial_dual_pairing)),
     "subspace-relent-properties": (25, 1e-9, _setup_subspace_props,
                                    _looped(_trial_subspace_props)),

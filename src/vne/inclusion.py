@@ -18,7 +18,7 @@ from .algebra import (
     MultiMatrixAlgebra,
     TraceWeight,
     ambient_trace,
-    commutant,
+    commutant_of,
     full_matrix_algebra,
     normalized_trace,
     scalar_subalgebra,
@@ -27,7 +27,7 @@ from .algebra import (
     tensor_left_subalgebra,
     wedderburn_decompose,
 )
-from .linalg import dagger, frob, herm_eig
+from .linalg import dagger, first_failure, frob, herm_eig, member_note
 from .relent import StandardForm, rel_entropy_closed
 from .states import State, restrict, s_tau, s_vn
 
@@ -450,12 +450,10 @@ class DualExpectation:
 def dual_expectation(inc: Inclusion, seed: int = 3) -> DualExpectation:
     form = StandardForm(inc.ambient, inc.tau)
     hs = form.hs_dim
-    # the commutant of the generating units is the commutant of lambda(B)
-    sub_left = [form.left_matrix(u) for u in inc.sub.generating_units()]
-    bprime = commutant(sub_left, hs, seed=seed)
-    aprime = wedderburn_decompose(
-        np.stack([form.right_matrix(b) for b in inc.ambient.canonical_basis()]), seed=seed
-    )
+    aprime = commutant_of(form.left_algebra())
+    # lambda(B) is recovered, and certified, from its Sum n_l^2 matrix units
+    bprime = commutant_of(wedderburn_decompose(
+        np.stack([form.left_matrix(b) for b in inc.sub.canonical_basis()]), seed=seed))
     tau_prime = ambient_trace(bprime)
     eps_prime = trace_expectation(bprime, aprime, tau_prime, seed=seed)
 
@@ -485,10 +483,13 @@ def dual_expectation(inc: Inclusion, seed: int = 3) -> DualExpectation:
 
 @dataclass(frozen=True)
 class XuReport:
-    """S(phi || phi o eps) + the commutant-side term against log index."""
+    """S(phi || phi o eps) + the commutant-side term against log index.
 
-    term_sub: float
-    term_commutant: float
+    For a stack of states the two terms, total and residual are per-member arrays.
+    """
+
+    term_sub: float | np.ndarray
+    term_commutant: float | np.ndarray
     log_index: float
 
     @property
@@ -512,17 +513,21 @@ def xu_identity(inc: Inclusion, phi: State) -> XuReport:
     The ambient term is S(phi || phi o eps). The commutant term is the same
     construction one level up: the GNS vector of phi induces a state on the
     commutant of sub, compared against its compression by the dual
-    expectation. Their sum reproduces the log of the cp index.
+    expectation. Their sum reproduces the log of the cp index. phi may hold a
+    stack of states; every member must be unital.
     """
-    if not phi.is_state:
-        raise ValueError("the identity needs a unital state")
+    unital = np.asarray(phi.is_state)
+    if not unital.all():
+        at = first_failure(~unital)
+        raise ValueError(f"the identity needs a unital state, got mass "
+                         f"{float(np.asarray(phi.mass)[at]):.12g}{member_note(at)}")
     term_sub = rel_entropy_closed(phi, inc.compress_state(phi))
     du = inc.dual()
     xi = du.form.cyclic_vector(phi)
     tau_prime = du.expectation.tau
     # <xi, x xi> = Tr(xi xi* x) and <xi, eps(x) xi> = Tr(eps^*(xi xi*)* x); the
     # densities are Hermitian on the algebra, so t and t* give the same state
-    xi_xi = np.outer(xi, xi.conj())
+    xi_xi = xi[..., :, None] * xi.conj()[..., None, :]
     phi_prime = _vector_state(tau_prime, xi_xi)
     phi_prime_eps = _vector_state(tau_prime, du.expectation.adjoint_apply(xi_xi))
     term_comm = rel_entropy_closed(phi_prime, phi_prime_eps)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MultiMatrixAlgebra, TraceWeight
+from .algebra import MultiMatrixAlgebra, TraceWeight, algebra_from_blocks
 from .linalg import EigenSystem, any_member, check_hermitian, dagger, frob, herm_eig, unwrap
 from .states import POS_INF, State, restrict
 
@@ -102,8 +102,14 @@ class StandardForm:
         self.hs_dim = self.algebra.dim_linear
 
     def vectorize(self, x) -> np.ndarray:
+        """The GNS vector of a member, or one per member of a stack (..., hs_dim)."""
         comps = self.algebra.block_components(x)
-        return np.concatenate([math.sqrt(w) * c.ravel() for w, c in zip(self.tau.weights, comps)])
+        return np.concatenate([math.sqrt(w) * c.reshape(c.shape[:-2] + (-1,))
+                               for w, c in zip(self.tau.weights, comps)], axis=-1)
+
+    def left_algebra(self) -> MultiMatrixAlgebra:
+        """The left multiplications lambda(A): (+)_k M_{n_k} (x) 1_{n_k} in these coordinates."""
+        return algebra_from_blocks([(n, n) for n, _ in self.algebra.blocks])
 
     def left_matrix(self, a) -> np.ndarray:
         return _block_diag([np.kron(c, np.eye(len(c))) for c in self.algebra.block_components(a)])

@@ -27,6 +27,9 @@ from vne.algebra import (
 from vne.linalg import dagger, frob
 from vne.states import maximally_mixed
 
+from bratteli import inclusion_from_bratteli
+from oracles import nullspace_commutant
+
 
 class TestConstructors:
     def test_full_matrix_algebra(self):
@@ -271,11 +274,34 @@ def block_trace_value(tau, x):
                        for k, w in enumerate(tau.weights)))
 
 
+_TENSOR_FACTOR_GENS = [np.kron(m, np.eye(3)) for m in (np.diag([1.0, -1.0]),
+                                                     np.array([[0.0, 1.0], [1.0, 0.0]]))]
+
+# (Bratteli matrix, n_B, m_A, trace weights t), each with D = n_A . m_A <= 4
+_SMALL_BRATTELI = [
+    ([[1, 1]], [1, 2], [1], [0.7]),
+    ([[2], [1]], [1], [1, 1], [0.5, 1.5]),
+    ([[1], [1]], [2], [1, 1], [0.4, 0.9]),
+    ([[2]], [2], [1], [1.0]),
+    ([[1, 2]], [2, 1], [1], [0.3]),
+    ([[2]], [1], [2], [1.2]),
+]
+
+
+def _bratteli_generator_sets():
+    rng = np.random.default_rng(23)
+    out = []
+    for lam, n_b, m_a, t in _SMALL_BRATTELI:
+        inc = inclusion_from_bratteli(lam, n_b, m_a, t, rng)
+        for alg in (inc.sub, inc.ambient):
+            out.append(pytest.param(alg.generating_units(), alg.dim,
+                                    id=f"{lam}-{n_b}-{m_a}-{'sub' if alg is inc.sub else 'ambient'}"))
+    return out
+
+
 class TestCommutant:
     def test_commutant_of_tensor_factor(self):
-        gens = [np.kron(m, np.eye(3)) for m in (np.diag([1.0, -1.0]),
-                                             np.array([[0.0, 1.0], [1.0, 0.0]]))]
-        c = commutant(gens, 6)
+        c = commutant(_TENSOR_FACTOR_GENS, 6)
         assert sorted(c.blocks) == [(3, 2)]
         assert c.contains(np.kron(np.eye(2), np.diag([1.0, 2.0, 3.0])))
 
@@ -287,6 +313,28 @@ class TestCommutant:
     def test_commutant_of_scalars_is_everything(self):
         c = commutant([np.eye(4)], 4)
         assert c.blocks == ((4, 1),)
+
+    @pytest.mark.parametrize("gens,d", [
+        pytest.param(_TENSOR_FACTOR_GENS, 6, id="M2(x)1_3"),
+        pytest.param(list(full_matrix_algebra(3).canonical_basis()), 3, id="M3"),
+        pytest.param([np.eye(4)], 4, id="scalars"),
+    ] + _bratteli_generator_sets())
+    def test_swap_matches_nullspace_oracle(self, gens, d):
+        swap = commutant(gens, d)
+        oracle = nullspace_commutant(gens, d)
+        generated = generated_algebra(gens, d)
+        assert swap.blocks == tuple((m, n) for n, m in generated.blocks)
+        assert sorted(swap.blocks) == sorted(oracle.blocks)
+        assert swap.same_span(oracle) and oracle.same_span(swap)
+
+    def test_rejects_generators_it_does_not_commute_with(self, monkeypatch):
+        # a commutant built from the wrong algebra fails its certificate
+        import vne.algebra as algebra_module
+
+        monkeypatch.setattr(algebra_module, "generated_algebra",
+                            lambda gens, d, seed=0: diagonal_subalgebra(d))
+        with pytest.raises(ArithmeticError, match="commutant residual"):
+            commutant(_TENSOR_FACTOR_GENS, 6)
 
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])

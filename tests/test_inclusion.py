@@ -31,6 +31,8 @@ from vne.inclusion import (
 from vne.linalg import dagger, frob
 from vne.states import State, maximally_mixed, s_tau
 
+from oracles import nullspace_commutant
+
 
 def hs_state(algebra, tau, seed, floor=0.0):
     rng = np.random.default_rng(seed)
@@ -247,6 +249,32 @@ class TestDualExpectation:
         # commutant of M_2 (x) 1 on L^2(M_4) is 8-dim multiplicity-2
         assert sorted(dual.sub_commutant.blocks) == [(8, 2)]
         assert sorted(dual.ambient_commutant.blocks) == [(4, 4)]
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: tensor_pair_inclusion(2, 2), id="M2(x)1<M4"),
+        pytest.param(lambda: scalar_inclusion(2), id="C<M2"),
+        pytest.param(lambda: diagonal_inclusion(3), id="diag<M3"),
+    ])
+    def test_commutants_match_nullspace_oracle(self, make):
+        # A' and B' come from block data; the oracle solves for the commutants
+        # of lambda(A) and lambda(B) on the GNS space
+        inc = make()
+        dual = dual_expectation(inc)
+        form, hs = dual.form, dual.form.hs_dim
+        for alg, prime in ((inc.ambient, dual.ambient_commutant), (inc.sub, dual.sub_commutant)):
+            oracle = nullspace_commutant([form.left_matrix(u) for u in alg.generating_units()], hs)
+            assert sorted(prime.blocks) == sorted(oracle.blocks)
+            assert prime.same_span(oracle)
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (2, 4)])
+    def test_dual_and_xu_beyond_desk_scale(self, p, q):
+        # L^2(M_9) and L^2(M_8) have 81 and 64 dimensions: the nullspace commutant
+        # needed an SVD of a stacked 81^2 x 81^2 system for (3, 3)
+        inc = tensor_pair_inclusion(p, q)
+        dual = dual_expectation(inc)
+        assert abs(dual.scalar_index - q * q) < 1e-6
+        phi = hs_state(inc.ambient, inc.tau, 5, floor=0.05)
+        assert xu_identity(inc, phi).residual < 1e-6
 
 
 class TestXuIdentity:

@@ -11,7 +11,13 @@ from vne.algebra import (
     normalized_trace,
     tensor_left_subalgebra,
 )
-from vne.inclusion import entropy_gap_bound, trace_expectation
+from vne.inclusion import (
+    entropy_gap_bound,
+    scalar_inclusion,
+    tensor_pair_inclusion,
+    trace_expectation,
+    xu_identity,
+)
 from vne.relent import petz_decompose, rel_entropy_closed, reverse_entropy
 from vne.states import State, restrict, s_tau, s_vn
 
@@ -161,3 +167,25 @@ def test_bad_member_raises_the_single_error_and_names_it(what, match):
     with pytest.raises(type(single.value), match=rf"{match}.*\(stack member 3\)"):
         State(BLOCKS, tau, stack)
     State(BLOCKS, tau, np.delete(stack, 3, axis=0))  # the others are fine
+
+
+@pytest.mark.parametrize("make", [lambda: tensor_pair_inclusion(2, 2), lambda: scalar_inclusion(3)],
+                         ids=["M2(x)1<M4", "C<M3"])
+def test_xu_identity_matches_single_calls_bit_for_bit(make):
+    inc = make()
+    phi = densities(inc.ambient, inc.tau, 4)
+    stack = xu_identity(inc, State(inc.ambient, inc.tau, phi))
+    singles = [xu_identity(inc, State(inc.ambient, inc.tau, rho)) for rho in phi]
+    for field in ("term_sub", "term_commutant", "total", "residual"):
+        assert getattr(stack, field).tolist() == [getattr(x, field) for x in singles], field
+    assert stack.log_index == singles[0].log_index
+
+
+def test_xu_identity_rejects_a_non_unital_member():
+    inc = tensor_pair_inclusion(2, 2)
+    phi = densities(inc.ambient, inc.tau, 4)
+    phi[2] *= 1.5
+    with pytest.raises(ValueError, match=r"unital state, got mass 1\.5.*\(stack member 2\)"):
+        xu_identity(inc, State(inc.ambient, inc.tau, phi))
+    with pytest.raises(ValueError, match=r"unital state, got mass 1\.5$"):
+        xu_identity(inc, State(inc.ambient, inc.tau, phi[2]))
