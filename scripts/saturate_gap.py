@@ -9,7 +9,7 @@ blocks. On the tensor inclusion the maximally entangled state is the known
 maximizer; its gap is computed independently as a cross-check.
 
 Run: python scripts/saturate_gap.py. Exits 1 when any shortfall, or the
-cross-check's distance to the maximizer's gap, exceeds 1e-9.
+cross-check's distance to the maximizer's gap, exceeds ROUTE_TOL (1e-9).
 """
 
 import argparse
@@ -26,6 +26,7 @@ from vne.inclusion import (
     tensor_pair_inclusion,
     trace_expectation,
 )
+from vne.linalg import ROUTE_TOL
 from vne.states import State
 
 
@@ -83,7 +84,7 @@ def run(argv=None):
     print(f"\nmaximally entangled state on M_2 (x) 1 in M_4: "
           f"gap = {bell:.7f} (= log 4 = {np.log(4.0):.7f})")
     print(f"worst |shortfall| or cross-check distance {worst:.2e}")
-    return 0 if worst <= 1e-9 else 1
+    return 0 if worst <= ROUTE_TOL else 1
 
 
 if __name__ == "__main__":

@@ -15,18 +15,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import any_member, dagger, first_failure, frob, frob_each, herm_eig, member_note, unwrap
+from .linalg import (CERT_TOL, CLOSURE_ROUNDS, CLUSTER_TOL, COUPLING_TOL, FRAME_TOL,
+                     GENERIC_HERM_TOL, NORMALIZED_TOL, RANK_TOL, SAME_SPAN_TOL, SPAN_TOL,
+                     any_member, dagger, first_failure, frob, frob_each, herm_eig,
+                     member_note, unwrap)
 
-SPAN_TOL = 1e-9
 
-
-def _orthonormal_rows(mat, tol=1e-10):
+def _orthonormal_rows(mat):
     """Orthonormal basis of the row space, via SVD."""
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return np.zeros((0, mat.shape[1]), dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]) if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(1.0, float(s[0]) if s.size else 1.0)))
     return vh[:rank]
 
 
@@ -115,21 +116,21 @@ class MultiMatrixAlgebra:
         """Relative distance of x (or of each member of a stack) from the algebra."""
         return unwrap(self._residual(x))
 
-    def contains(self, x, tol: float = SPAN_TOL):
-        return self.membership_residual(x) <= tol
+    def contains(self, x):
+        return self.membership_residual(x) <= SPAN_TOL
 
-    def require_member(self, x, what: str = "matrix", tol: float = SPAN_TOL):
+    def require_member(self, x, what: str = "matrix"):
         r = self._residual(x)
-        over = r > tol
+        over = r > SPAN_TOL
         if any_member(over):
             at = first_failure(over)
             raise ValueError(f"{what} lies outside the algebra span "
                              f"(residual {float(r[at]):.3e}){member_note(at)}")
 
-    def same_span(self, other, tol: float = 1e-8) -> bool:
+    def same_span(self, other) -> bool:
         if self.dim != other.dim or self.dim_linear != other.dim_linear:
             return False
-        return all(self.membership_residual(u) <= tol for u in other.generating_units())
+        return all(self.membership_residual(u) <= SAME_SPAN_TOL for u in other.generating_units())
 
     # -- block structure --------------------------------------------------
 
@@ -204,7 +205,7 @@ class MultiMatrixAlgebra:
         if sum(n * m for n, m in self.blocks) != self.dim:
             raise ValueError("block dimensions do not partition the ambient space")
         w = np.concatenate(self.isometries, axis=1)
-        if frob(dagger(w) @ w - np.eye(self.dim)) > 1e-8:
+        if frob(dagger(w) @ w - np.eye(self.dim)) > FRAME_TOL:
             raise ValueError("block isometries are not jointly orthonormal")
         return self
 
@@ -323,7 +324,7 @@ class TraceWeight:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(self.total - 1.0) <= 1e-12
+        return abs(self.total - 1.0) <= NORMALIZED_TOL
 
     def restricted_to(self, sub: MultiMatrixAlgebra) -> "TraceWeight":
         """Restriction to a subalgebra: weight = trace of a minimal projection."""
@@ -381,8 +382,8 @@ def commutant(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra
     units = alg.generating_units()
     worst = max((frob(h @ u - u @ h) for g in gens for h in (g, dagger(g)) for u in units),
                 default=0.0)
-    if worst > 1e-10 * max(1.0, max((frob(g) for g in gens), default=1.0)):
-        raise ArithmeticError(f"commutant residual {worst:.3e} exceeds 1e-10")
+    if worst > CERT_TOL * max(1.0, max((frob(g) for g in gens), default=1.0)):
+        raise ArithmeticError(f"commutant residual {worst:.3e} exceeds {CERT_TOL:.0e}")
     return alg
 
 
@@ -401,7 +402,7 @@ def _cluster(values, tol):
     return [np.array(g, dtype=int) for g in groups]
 
 
-def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMatrixAlgebra:
+def wedderburn_decompose(span, seed: int = 0) -> MultiMatrixAlgebra:
     """Block decomposition of a numerically closed *-algebra span.
 
     Randomized, deterministic for a fixed seed.  The eigenspaces of a generic
@@ -420,19 +421,19 @@ def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMat
         r = np.ravel(x)
         return frob(r - (np.conj(onb) @ r) @ onb) / max(1.0, frob(x))
 
-    if residual(np.eye(d)) > tol:
+    if residual(np.eye(d)) > SPAN_TOL:
         raise ValueError("span does not contain the identity")
     worst = max(residual(dagger(b)) for b in span)
-    if worst > tol:
+    if worst > SPAN_TOL:
         raise ValueError(f"span is not adjoint-closed (residual {worst:.3e})")
 
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((2, len(span))) + 1j * rng.standard_normal((2, len(span)))
     a, b = np.tensordot(coeffs, span, axes=1)
-    es = herm_eig(0.5 * (a + dagger(a)), tol=1e-8)
+    es = herm_eig(0.5 * (a + dagger(a)), tol=GENERIC_HERM_TOL)
     spread = max(1.0, float(es.eigenvalues[-1] - es.eigenvalues[0]))
-    frames = [es.eigenvectors[:, g] for g in _cluster(es.eigenvalues, 1e-6 * spread)]
-    cut = 1e-8 * frob(b)
+    frames = [es.eigenvectors[:, g] for g in _cluster(es.eigenvalues, CLUSTER_TOL * spread)]
+    cut = COUPLING_TOL * frob(b)
 
     blocks = []
     isometries = []
@@ -458,14 +459,14 @@ def wedderburn_decompose(span, seed: int = 0, tol: float = SPAN_TOL) -> MultiMat
     isometries = [isometries[k] for k in order]
     alg = MultiMatrixAlgebra(dim=d, blocks=blocks, isometries=isometries).validate()
     worst = max(alg.membership_residual(x) for x in span)
-    if worst > tol:
+    if worst > SPAN_TOL:
         raise ValueError(f"span leaves the block algebra (reconstruction residual {worst:.3e})")
     if onb.shape[0] != alg.dim_linear:
         raise ValueError(f"span has rank {onb.shape[0]} but the blocks need {alg.dim_linear}")
     return alg
 
 
-def generated_algebra(generators, ambient_dim: int, seed: int = 0, max_rounds: int = 12) -> MultiMatrixAlgebra:
+def generated_algebra(generators, ambient_dim: int, seed: int = 0) -> MultiMatrixAlgebra:
     """Close a generating set under adjoints and products, then decompose."""
     d = ambient_dim
     gens = [np.asarray(g, dtype=complex) for g in generators]
@@ -475,7 +476,7 @@ def generated_algebra(generators, ambient_dim: int, seed: int = 0, max_rounds: i
             for g in gens]
     mats = [np.eye(d, dtype=complex)] + gens + [dagger(g) for g in gens]
     onb = _orthonormal_rows(np.stack(mats).reshape(len(mats), -1))
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_ROUNDS):
         cur = onb.reshape(-1, d, d)
         prods = np.stack([a @ b for a in cur for b in cur])
         new = _orthonormal_rows(np.concatenate([onb, prods.reshape(len(prods), -1)]))

@@ -38,7 +38,8 @@ from .inclusion import (
     trace_expectation,
     xu_identity,
 )
-from .linalg import dagger, herm_eig, kron, partial_trace
+from .linalg import (INDEX_SEARCH_TOL, KOSAKI_TOL, ROUTE_TOL, SIGN_TOL, dagger, herm_eig, kron,
+                     partial_trace)
 from .relent import (
     KosakiGrid,
     kosaki_eval,
@@ -164,6 +165,11 @@ def _plain(value):
     return float(value)
 
 
+def _extreme(pick, values: list, empty: float) -> float:
+    """max or min of values; NaN if any is NaN, which max and min drop after a number."""
+    return math.nan if any(math.isnan(v) for v in values) else pick(values, default=empty)
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -175,15 +181,15 @@ class VerificationReport:
 
     @property
     def max_violation(self) -> float:
-        return max((r["violation"] for r in self.records), default=0.0)
+        return _extreme(max, [r["violation"] for r in self.records], 0.0)
 
     @property
     def min_slack(self) -> float:
-        return min((r["slack"] for r in self.records), default=math.inf)
+        return _extreme(min, [r["slack"] for r in self.records], math.inf)
 
     @property
     def max_slack(self) -> float:
-        return max((r["slack"] for r in self.records), default=-math.inf)
+        return _extreme(max, [r["slack"] for r in self.records], -math.inf)
 
     @property
     def passed(self) -> bool:
@@ -213,8 +219,8 @@ class VerificationReport:
 
 # -- suite library -------------------------------------------------------------
 #
-# A suite is (default trials, default tolerance, setup, trials). setup builds
-# shared read-only context once; trials(ctx, idx, rngs, tol) runs the trials
+# A suite is (default trials, default tolerance, setup, trials). setup() builds
+# shared read-only context once; trials(ctx, idx, rngs) runs the trials
 # numbered idx, trial i with its own generator rngs[i - idx[0]], and returns
 # their records in order. A record holds at least "slack" (signed distance to
 # the sharp statement) and "violation" (how far past the statement the trial
@@ -238,54 +244,54 @@ def _bound_record(slack: float, violation: float | None = None, **extra) -> dict
 
 
 def _stacked(group):
-    """trials() of a suite with one context: the chunk runs as one stack, group(ctx, rngs, tol)."""
-    def trials(ctx, idx, rngs, tol):
-        return group(ctx, rngs, tol)
+    """trials() of a suite with one context: the chunk runs as one stack, group(ctx, rngs)."""
+    def trials(ctx, idx, rngs):
+        return group(ctx, rngs)
     return trials
 
 
 def _cycled(group):
     """trials() of a suite whose trial i uses entry i % len(ctx) of its context:
-    each entry's share of the chunk runs as one stack, group(entry, rngs, tol)."""
-    def trials(ctx, idx, rngs, tol):
+    each entry's share of the chunk runs as one stack, group(entry, rngs)."""
+    def trials(ctx, idx, rngs):
         out = [None] * len(rngs)
         for j, entry in enumerate(ctx):
             pos = [p for p, i in enumerate(idx) if i % len(ctx) == j]
             if pos:
-                for p, rec in zip(pos, group(entry, [rngs[p] for p in pos], tol)):
+                for p, rec in zip(pos, group(entry, [rngs[p] for p in pos])):
                     out[p] = rec
         return out
     return trials
 
 
 def _looped(trial):
-    """trials() of a suite that runs trial(ctx, i, rng, tol) once per trial."""
-    def trials(ctx, idx, rngs, tol):
-        return [trial(ctx, i, rng, tol) for i, rng in zip(idx, rngs)]
+    """trials() of a suite that runs trial(ctx, i, rng) once per trial."""
+    def trials(ctx, idx, rngs):
+        return [trial(ctx, i, rng) for i, rng in zip(idx, rngs)]
     return trials
 
 
 def _setup_entropy_dims(dims):
-    def setup(seed):
+    def setup():
         return [full_matrix_algebra(n) for n in dims]
     return setup
 
 
-def _entropy_bounds(alg, rngs, tol):
+def _entropy_bounds(alg, rngs):
     n = alg.dim
     phi = random_state(Ensemble(dim=n), alg, normalized_trace(alg), rngs)
     return [_bound_record(min(s + math.log(n), -s), dim=n, entropy=s)
             for s in s_tau(phi).tolist()]
 
 
-def _vn_shift(alg, rngs, tol):
+def _vn_shift(alg, rngs):
     phi = random_state(Ensemble(dim=alg.dim), alg, normalized_trace(alg), rngs)
     shift = math.log(alg.dim)
     return [_identity_record(s - (v - shift), dim=alg.dim)
             for s, v in zip(s_tau(phi).tolist(), s_vn(phi).tolist())]
 
 
-def _setup_additivity(seed):
+def _setup_additivity():
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     out = []
     for p, q in shapes:
@@ -294,7 +300,7 @@ def _setup_additivity(seed):
     return out
 
 
-def _additivity(entry, rngs, tol):
+def _additivity(entry, rngs):
     a, b, prod = entry
     phi = random_state(Ensemble(dim=a.dim), a, normalized_trace(a), rngs)
     psi = random_state(Ensemble(dim=b.dim), b, normalized_trace(b), rngs)
@@ -303,7 +309,7 @@ def _additivity(entry, rngs, tol):
     return [_identity_record(r, dims=f"{a.dim}x{b.dim}") for r in resid.tolist()]
 
 
-def _setup_subadditivity(seed):
+def _setup_subadditivity():
     a, b = full_matrix_algebra(2), full_matrix_algebra(2)
     prod = tensor_algebra(a, b)
     tau = TraceWeight(prod, (0.25,))
@@ -313,7 +319,7 @@ def _setup_subadditivity(seed):
             "m2": a, "tau2": normalized_trace(a)}
 
 
-def _subadditivity(ctx, rngs, tol):
+def _subadditivity(ctx, rngs):
     phi = _faithful(rngs, ctx["prod"], ctx["tau"])
     p1 = _faithful(rngs, ctx["m2"], ctx["tau2"])
     p2 = _faithful(rngs, ctx["m2"], ctx["tau2"])
@@ -328,7 +334,7 @@ def _subadditivity(ctx, rngs, tol):
     return [_bound_record(l - r, lhs=l, rhs=r) for l, r in zip(lhs.tolist(), rhs)]
 
 
-def _setup_restriction_monotone(seed):
+def _setup_restriction_monotone():
     a = full_matrix_algebra(4)
     tau = normalized_trace(a)
     subs = [tensor_left_subalgebra(2, 2), diagonal_subalgebra(4),
@@ -336,7 +342,7 @@ def _setup_restriction_monotone(seed):
     return [(a, tau, sub) for sub in subs]
 
 
-def _restriction_monotone(entry, rngs, tol):
+def _restriction_monotone(entry, rngs):
     alg, tau, sub = entry
     phi = _faithful(rngs, alg, tau)
     psi = _faithful(rngs, alg, tau)
@@ -349,7 +355,7 @@ def _restriction_monotone(entry, rngs, tol):
 _SCALES = (0.1, 1.0, 7.0)
 
 
-def _setup_scaling(seed):
+def _setup_scaling():
     return [full_matrix_algebra(n) for n in (2, 3, 4)]
 
 
@@ -364,7 +370,7 @@ def _worst_shift(base, moved, sign: float) -> list:
     return out
 
 
-def _relent_scaling(alg, rngs, tol):
+def _relent_scaling(alg, rngs):
     tau = normalized_trace(alg)
     phi = _faithful(rngs, alg, tau)
     psi = _faithful(rngs, alg, tau)
@@ -373,7 +379,7 @@ def _relent_scaling(alg, rngs, tol):
     return [_identity_record(w, dim=alg.dim) for w in _worst_shift(base, moved, 1.0)]
 
 
-def _trace_rescaling(alg, rngs, tol):
+def _trace_rescaling(alg, rngs):
     tau = normalized_trace(alg)
     phi = _faithful(rngs, alg, tau)
     base = s_tau(phi).tolist()
@@ -381,11 +387,11 @@ def _trace_rescaling(alg, rngs, tol):
     return [_identity_record(w, dim=alg.dim) for w in _worst_shift(base, moved, -1.0)]
 
 
-def _setup_m2_in_m4(seed):
+def _setup_m2_in_m4():
     return {"inc": tensor_pair_inclusion(2, 2)}
 
 
-def _petz(ctx, rngs, tol):
+def _petz(ctx, rngs):
     inc = ctx["inc"]
     phi = _faithful(rngs, inc.ambient, inc.tau)
     psi = _faithful(rngs, inc.ambient, inc.tau)
@@ -395,12 +401,12 @@ def _petz(ctx, rngs, tol):
                                   pd.restriction_term.tolist(), pd.expectation_term.tolist())]
 
 
-def _setup_expectation_bound(seed):
+def _setup_expectation_bound():
     incs = [tensor_pair_inclusion(2, 2), scalar_inclusion(2), scalar_inclusion(3)]
     return [(inc, math.log(inc.index_report().pp_positive)) for inc in incs]
 
 
-def _expectation_bound(entry, rngs, tol):
+def _expectation_bound(entry, rngs):
     inc, bound = entry
     phi = _faithful(rngs, inc.ambient, inc.tau)
     vals = rel_entropy_closed(phi, inc.compress_state(phi))
@@ -411,28 +417,28 @@ def _gap_reports(inc, rngs):
     """The entropy gap reports of a chunk: (slack, violation, gap, route residual) per trial."""
     phi = _faithful(rngs, inc.ambient, inc.tau, floor=0.0)
     rep = entropy_gap_bound(inc, phi)
-    return [(slack, max(0.0, -slack, rr - 1e-9), gap, rr) for slack, gap, rr
+    return [(slack, max(0.0, -slack, rr - ROUTE_TOL), gap, rr) for slack, gap, rr
             in zip(rep.slack.tolist(), rep.gap.tolist(), rep.route_residual.tolist())]
 
 
-def _gap_bound(ctx, rngs, tol):
+def _gap_bound(ctx, rngs):
     return [_bound_record(slack, violation=v, gap=gap, route_residual=rr)
             for slack, v, gap, rr in _gap_reports(ctx["inc"], rngs)]
 
 
-def _setup_gap_unnormalized(seed):
+def _setup_gap_unnormalized():
     a = full_matrix_algebra(4)
     tr = ambient_trace(a)
     inc = trace_expectation(a, tensor_left_subalgebra(2, 2), tr, bipartite=(2, 2))
     return {"inc": inc}
 
 
-def _gap_unnormalized(ctx, rngs, tol):
+def _gap_unnormalized(ctx, rngs):
     return [_bound_record(slack, violation=v, gap=gap)
             for slack, v, gap, _ in _gap_reports(ctx["inc"], rngs)]
 
 
-def _reverse_bound(ctx, rngs, tol):
+def _reverse_bound(ctx, rngs):
     # Two-sided: restriction cannot raise S(tau||.), and the operator-monotone
     # route through eps(rho) >= rho / index caps how far it can drop.
     inc = ctx["inc"]
@@ -444,13 +450,13 @@ def _reverse_bound(ctx, rngs, tol):
     for up, down in zip(ups, downs):
         slack = up - down
         index_margin = bound - (down - up)
-        violation = max(0.0, -slack, -index_margin, -up - 1e-10, -down - 1e-10)
+        violation = max(0.0, -slack, -index_margin, -up - SIGN_TOL, -down - SIGN_TOL)
         out.append(_bound_record(slack, violation=violation, full=up, restricted=down,
                                  index_margin=index_margin))
     return out
 
 
-def _xu(ctx, rngs, tol):
+def _xu(ctx, rngs):
     inc = ctx["inc"]
     xr = xu_identity(inc, _faithful(rngs, inc.ambient, inc.tau))
     return [_identity_record(r, term_sub=s, term_commutant=c, log_index=xr.log_index)
@@ -458,18 +464,18 @@ def _xu(ctx, rngs, tol):
                                xr.term_commutant.tolist())]
 
 
-def _setup_dual_pairing(seed):
+def _setup_dual_pairing():
     return [scalar_inclusion(2), scalar_inclusion(3), tensor_pair_inclusion(2, 2)]
 
 
-def _trial_dual_pairing(ctx, idx, rng, tol):
+def _trial_dual_pairing(ctx, idx, rng):
     # re-derives the dual side with a fresh seed each trial
     inc = ctx[idx % len(ctx)]
     du = dual_expectation(inc, seed=int(rng.integers(1, 2 ** 31)))
     return _identity_record(du.pairing_residual, index=du.scalar_index)
 
 
-def _setup_subspace_props(seed):
+def _setup_subspace_props():
     alg = full_matrix_algebra(2)
     return {
         "alg": alg,
@@ -482,7 +488,7 @@ def _setup_subspace_props(seed):
     }
 
 
-def _trial_subspace_props(ctx, idx, rng, tol):
+def _trial_subspace_props(ctx, idx, rng):
     phi = _faithful(rng, ctx["alg"], ctx["tau"], floor=0.1)
     psi = _faithful(rng, ctx["alg"], ctx["tau"], floor=0.1)
     vals = [kosaki_eval(phi, psi, subspace=v) for v in ctx["chain"]]
@@ -495,23 +501,23 @@ def _trial_subspace_props(ctx, idx, rng, tol):
     # d) refinement increases toward the closed form from below
     refined = kosaki_eval(phi, psi, grid=KosakiGrid.default().refined())
     closed = rel_entropy_closed(phi, psi)
-    slack_d = min(refined - vals[-1], closed - refined + 1e-12)
+    slack_d = min(refined - vals[-1], closed - refined + KOSAKI_TOL)
     slack = min(slack_a, slack_c, slack_d)
     return _bound_record(slack, chain=[float(v) for v in vals],
                          closed=closed, refined=refined)
 
 
-def _setup_tower(seed):
+def _setup_tower():
     pairs, tau, top = standard_binary_tower()
     return {"pairs": pairs, "tau": tau, "top": top}
 
 
-def _trial_tower(ctx, idx, rng, tol):
+def _trial_tower(ctx, idx, rng):
     phi = _faithful(rng, ctx["top"], ctx["tau"], floor=0.02)
     rep = tower_gap_formula(ctx["pairs"], ctx["tau"], phi, starts=12, seed=idx + 1)
     worst_idx = max(l.index_residual / l.index_ratio for l in rep.levels)
-    violation = max(0.0, rep.max_formula_residual - 1e-9,
-                    rep.max_compat_residual - 1e-9, worst_idx - 1e-5)
+    violation = max(0.0, rep.max_formula_residual - ROUTE_TOL,
+                    rep.max_compat_residual - ROUTE_TOL, worst_idx - INDEX_SEARCH_TOL)
     return _bound_record(-violation, violation=violation,
                          gaps=[float(l.gap) for l in rep.levels],
                          formula_residual=rep.max_formula_residual,
@@ -561,7 +567,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
     tol = default_tol if tol is None else float(tol)
-    ctx = setup(seed)
+    ctx = setup()
     seeds = np.random.SeedSequence(seed).spawn(trials)
 
     started = time.perf_counter()
@@ -569,7 +575,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0,
     for first in range(0, trials, CHUNK):
         idx = range(first, min(first + CHUNK, trials))
         rngs = [np.random.default_rng(seeds[i]) for i in idx]
-        for i, rec in zip(idx, run(ctx, idx, rngs, tol)):
+        for i, rec in zip(idx, run(ctx, idx, rngs)):
             rec = {k: _plain(v) if not isinstance(v, (list, str)) else v
                    for k, v in rec.items()}
             rec["trial"] = i
@@ -609,8 +615,8 @@ def maximize_gap(inc: Inclusion) -> MaximizeResult:
     e_i (x) f_i = c_i0 g_i, for the block-k components c_ij of the sub's
     matrix units and an orthonormal basis g of the range of the projection c_00.
 
-    converged holds when the gap meets the ceiling within 1e-9 relative and
-    its two routes (entropy difference and relative entropy) agree within 1e-9.
+    converged holds when the gap meets the ceiling within ROUTE_TOL relative and
+    its two routes (entropy difference and relative entropy) agree within ROUTE_TOL.
     """
     alg, k = inc.ambient, inc.index_report().witness_block
     s = inc.sub_trace.weights
@@ -627,6 +633,6 @@ def maximize_gap(inc: Inclusion) -> MaximizeResult:
     raw = alg.embed(comps)
     phi = State(alg, inc.tau, raw / float(np.real(inc.tau.value(raw))))
     rep = entropy_gap_bound(inc, phi)
-    converged = (abs(rep.slack) <= 1e-9 * max(1.0, abs(rep.bound))
-                 and rep.route_residual <= 1e-9)
+    converged = (abs(rep.slack) <= ROUTE_TOL * max(1.0, abs(rep.bound))
+                 and rep.route_residual <= ROUTE_TOL)
     return MaximizeResult(phi, rep.gap, rep.bound, converged)

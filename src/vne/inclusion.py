@@ -27,7 +27,9 @@ from .algebra import (
     tensor_left_subalgebra,
     wedderburn_decompose,
 )
-from .linalg import dagger, first_failure, frob, herm_eig, member_note
+from .linalg import (ASCENT_GAIN, ASCENT_LEAK_TOL, CERT_TOL, CHECK_TOL, DUAL_TOL, GRADIENT_TOL,
+                     PENCIL_TOL, ROUTE_TOL, SPECTRAL_FLOOR, dagger, first_failure, frob,
+                     herm_eig, member_note)
 from .relent import StandardForm, rel_entropy_closed
 from .states import State, restrict, s_tau, s_vn
 
@@ -146,26 +148,26 @@ def trace_expectation(
 
     if check:
         eye = ambient.identity()
-        if frob(inc.apply(eye) - eye) > 1e-10 * math.sqrt(ambient.dim):
+        if frob(inc.apply(eye) - eye) > CERT_TOL * math.sqrt(ambient.dim):
             raise ArithmeticError("expectation is not unital")
         rng = np.random.default_rng(seed)
         for _ in range(4):
             x = _random_member(ambient, rng)
             ex = inc.apply(x)
             scale = max(1.0, frob(x))
-            if sub.membership_residual(ex) > 1e-9 * scale:
+            if sub.membership_residual(ex) > CHECK_TOL * scale:
                 raise ArithmeticError("expectation leaves the subalgebra")
-            if frob(inc.apply(ex) - ex) > 1e-9 * scale:
+            if frob(inc.apply(ex) - ex) > CHECK_TOL * scale:
                 raise ArithmeticError("expectation is not idempotent")
-            if abs(tau.value(ex) - tau.value(x)) > 1e-10 * scale:
+            if abs(tau.value(ex) - tau.value(x)) > CERT_TOL * scale:
                 raise ArithmeticError("expectation does not preserve the trace")
             b1, b2 = sub.random_hermitian(rng), sub.random_hermitian(rng)
             bim = inc.apply(b1 @ x @ b2) - b1 @ ex @ b2
-            if frob(bim) > 1e-9 * scale * max(1.0, frob(b1) * frob(b2)):
+            if frob(bim) > CHECK_TOL * scale * max(1.0, frob(b1) * frob(b2)):
                 raise ArithmeticError("expectation violates the bimodule property")
             h = inc.apply(x @ dagger(x))
             low = float(np.min(np.linalg.eigvalsh(0.5 * (h + dagger(h)))))
-            if low < -1e-9 * scale * scale:
+            if low < -CHECK_TOL * scale * scale:
                 raise ArithmeticError(f"expectation not positive, eigenvalue {low:.3e}")
     return inc
 
@@ -193,11 +195,11 @@ def tensor_pair_inclusion(p: int, q: int, tau: TraceWeight | None = None) -> Inc
 # -- the positive-element index ----------------------------------------------
 
 
-def _pinv_psd(m, cutoff: float = 1e-12):
+def _pinv_psd(m):
     es = herm_eig(0.5 * (m + dagger(m)))
     lam = np.maximum(es.eigenvalues, 0.0)
     top = float(np.max(lam)) if lam.size else 0.0
-    keep = lam > cutoff * max(top, 1.0)
+    keep = lam > SPECTRAL_FLOOR * max(top, 1.0)
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     pinv = (es.eigenvectors * inv) @ dagger(es.eigenvectors)
@@ -244,23 +246,23 @@ def _pp_gradient(inc: Inclusion, k: int, u: np.ndarray, y: np.ndarray, w: np.nda
 def _ascend(inc: Inclusion, k: int, u0: np.ndarray, iters: int) -> tuple[float, np.ndarray, np.ndarray]:
     u = u0 / np.linalg.norm(u0)
     val, y, w, leak = _pp_value(inc, k, u)
-    if leak > 1e-6:
+    if leak > ASCENT_LEAK_TOL:
         return math.inf, u, y
     step = 0.5
     for _ in range(iters):
         g = _pp_gradient(inc, k, u, y, w)
         g = g - np.vdot(u, g) * u
         gn = float(np.linalg.norm(g))
-        if gn < 1e-11 * max(1.0, abs(val)):
+        if gn < GRADIENT_TOL * max(1.0, abs(val)):
             break
         improved = False
         for _ in range(25):
             cand = u + step * g
             cand = cand / np.linalg.norm(cand)
             cval, cy, cw, cleak = _pp_value(inc, k, cand)
-            if cleak > 1e-6:
+            if cleak > ASCENT_LEAK_TOL:
                 return math.inf, cand, cy
-            if cval > val + 1e-14:
+            if cval > val + ASCENT_GAIN:
                 u, val, y, w = cand, cval, cy, cw
                 improved = True
                 step = min(step * 1.6, 4.0)
@@ -350,10 +352,10 @@ def _pencil_lambda(cm, dm):
     es = herm_eig(0.5 * (cm + dagger(cm)))
     lam = np.maximum(es.eigenvalues, 0.0)
     top = float(np.max(lam))
-    keep = lam > 1e-12 * max(top, 1.0)
+    keep = lam > SPECTRAL_FLOOR * max(top, 1.0)
     basis = es.eigenvectors[:, keep]
     outside = dm - basis @ (dagger(basis) @ dm @ basis) @ dagger(basis)
-    if frob(outside) > 1e-8 * max(1.0, frob(dm)):
+    if frob(outside) > PENCIL_TOL * max(1.0, frob(dm)):
         return 0.0, None  # dm has support outside cm, no positive lambda
     winv = basis * (1.0 / np.sqrt(lam[keep]))
     t = dagger(winv) @ dm @ winv
@@ -413,7 +415,7 @@ class IndexReport:
 def index_report(inc: Inclusion, starts: int = 64, seed: int = 7) -> IndexReport:
     pos, y, k = pp_index_positive(inc, starts=starts, seed=seed)
     cp, certs = pp_index_cp(inc)
-    if cp < pos - 1e-9 * max(1.0, abs(pos)):
+    if cp < pos - ROUTE_TOL * max(1.0, abs(pos)):
         raise ArithmeticError(
             f"cp index {cp:.12g} fell below positive index {pos:.12g}"
         )
@@ -462,7 +464,7 @@ def dual_expectation(inc: Inclusion, seed: int = 3) -> DualExpectation:
     image = eps_prime.apply(e_sub)
     c = float(np.real(np.trace(image))) / hs
     off = frob(image - c * np.eye(hs))
-    if not (c > 0.0) or off > 1e-6 * max(1.0, abs(c) * math.sqrt(hs)):
+    if not (c > 0.0) or off > DUAL_TOL * max(1.0, abs(c) * math.sqrt(hs)):
         raise ArithmeticError(
             "dual expectation of the subalgebra projection is not scalar: "
             f"mean {c:.6g}, deviation {off:.3e}"
@@ -470,7 +472,7 @@ def dual_expectation(inc: Inclusion, seed: int = 3) -> DualExpectation:
     scalar_index = 1.0 / c
     cp = inc.index_report().pp_cp
     resid = abs(scalar_index - cp)
-    if resid > 1e-6 * max(1.0, cp):
+    if resid > DUAL_TOL * max(1.0, cp):
         raise ArithmeticError(
             f"dual pairing gives index {scalar_index:.9g} but the Choi route "
             f"gives {cp:.9g}"

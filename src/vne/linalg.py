@@ -13,7 +13,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# -- numerical policy: every threshold of the package, named by its role. A site
+# scales its threshold as it states (by a norm, a top eigenvalue, a mass).
+
+# Hermitian input: max|H - H*| allowed per unit of 1 + max|H|
 HERM_TOL = 1e-12
+# a State's density: Hermitian part, negative eigenvalues, declared and unit mass
+DENSITY_TOL = 1e-10
+# Hermitian check of the assembled relative modular operator
+MODULAR_HERM_TOL = 1e-9
+# Hermitian check of the generic member that splits a span into eigenspaces
+GENERIC_HERM_TOL = 1e-8
+# certificates: eigendecomposition residuals, commutant, unital and trace-preserving expectation
+CERT_TOL = 1e-10
+# smallest norm a relative residual is measured against
+NORM_FLOOR = 1e-300
+# an eigenvalue or spectral weight below this times the top one counts as zero
+SPECTRAL_FLOOR = 1e-12
+# kernel of the relative modular operator, relative to max(1, top eigenvalue)
+KERNEL_FLOOR = 1e-13
+# a singular value below this times the top one drops out of the numerical rank
+RANK_TOL = 1e-10
+# membership: relative distance from an algebra or a span
+SPAN_TOL = 1e-9
+# membership of one algebra's generating units in another's span
+SAME_SPAN_TOL = 1e-8
+# joint orthonormality of block isometries, as |W*W - 1|_F
+FRAME_TOL = 1e-8
+# the same check on the GNS coordinates of a standard form
+GNS_FRAME_TOL = 1e-9
+# a trace weight is normalized when |tau(1) - 1| is at most this
+NORMALIZED_TOL = 1e-12
+# construction checks of an expectation: membership, idempotence, bimodule, positivity
+CHECK_TOL = 1e-9
+# gap between eigenvalue clusters of a generic member, relative to its spread
+CLUSTER_TOL = 1e-6
+# coupling between eigenspaces of a generic member, relative to its norm
+COUPLING_TOL = 1e-8
+# rounds of products that closing a generating set under multiplication may take
+CLOSURE_ROUNDS = 12
+# mass of phi outside the support of psi, relative to max(1, mass), that makes S infinite
+SUPPORT_LEAK_TOL = 1e-10
+# support leak of eps(X) below X that ends the index ascent at +inf
+ASCENT_LEAK_TOL = 1e-6
+# projected gradient that stops the index ascent, relative to max(1, value)
+GRADIENT_TOL = 1e-11
+# least gain the index ascent's line search accepts
+ASCENT_GAIN = 1e-14
+# Choi pencil: the identity's Choi matrix outside the support of eps's, relative
+PENCIL_TOL = 1e-8
+# two routes to one value (or to an order between two) agree within this, relative
+ROUTE_TOL = 1e-9
+# dual side: E'(e_B) is scalar, and its index meets the Choi route, relative
+DUAL_TOL = 1e-6
+# how far below zero a quantity that cannot be negative may round
+SIGN_TOL = 1e-10
+# how far the Kosaki lower bound may pass the closed form
+KOSAKI_TOL = 1e-12
+# the searched positive index against its known value in the tower suite, relative
+INDEX_SEARCH_TOL = 1e-5
 
 
 def frob(a) -> float:
@@ -114,14 +172,14 @@ class EigenSystem:
 
         f is a scalar function; it is mapped over every retained eigenvalue
         of the stack in one np.frompyfunc call.  With support_only=True,
-        eigenvalues within 1e-12 * max|eig| of zero (per matrix) are mapped
+        eigenvalues within SPECTRAL_FLOOR * max|eig| of zero (per matrix) are mapped
         to zero without evaluating f (the 0 log 0 = 0 convention).  If f
         raises or is non-finite at some retained eigenvalue, a domain error
         naming the first such eigenvalue is raised.
         """
         w = self.eigenvalues
         if support_only:
-            keep = np.abs(w) > 1e-12 * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+            keep = np.abs(w) > SPECTRAL_FLOOR * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
         else:
             keep = np.ones(w.shape, dtype=bool)
         fw = np.zeros(w.shape, dtype=complex)
@@ -162,23 +220,23 @@ def herm_eig(h, tol: float = HERM_TOL) -> EigenSystem:
     w, v = np.linalg.eigh(hh)
     vh = dagger(v)
     resid = frob_each((v * w[..., None, :]) @ vh - hh)
-    over = resid > 1e-10 * np.maximum(frob_each(hh), 1e-300)
+    over = resid > CERT_TOL * np.maximum(frob_each(hh), NORM_FLOOR)
     if any_member(over):
         at = first_failure(over)
         raise ArithmeticError(f"eigendecomposition residual {float(resid[at]):.3e} "
-                              f"exceeds 1e-10 * |H|_F{member_note(at)}")
+                              f"exceeds {CERT_TOL:.0e} * |H|_F{member_note(at)}")
     unit = frob_each(vh @ v - np.eye(hh.shape[-1]))
-    over = unit > 1e-10
+    over = unit > CERT_TOL
     if any_member(over):
         at = first_failure(over)
         raise ArithmeticError(f"eigenvector unitarity residual {float(unit[at]):.3e} "
-                              f"exceeds 1e-10{member_note(at)}")
+                              f"exceeds {CERT_TOL:.0e}{member_note(at)}")
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def matrix_function(h, f, support_only: bool = False, tol: float = HERM_TOL):
+def matrix_function(h, f, support_only: bool = False):
     """Apply a scalar function to a Hermitian matrix: herm_eig, then EigenSystem.apply."""
-    return herm_eig(h, tol).apply(f, support_only)
+    return herm_eig(h).apply(f, support_only)
 
 
 def partial_trace(m, dims, side: str):
@@ -197,12 +255,6 @@ def partial_trace(m, dims, side: str):
     if side == "left":
         return np.trace(t, axis1=0, axis2=2)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def is_psd(h, tol: float = 1e-10) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite up to -tol."""
-    w = herm_eig(h).eigenvalues
-    return bool(w.size == 0 or float(w[0]) >= -tol)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight, algebra_from_blocks
-from .linalg import EigenSystem, any_member, check_hermitian, dagger, frob, herm_eig, unwrap
+from .linalg import (GNS_FRAME_TOL, KERNEL_FLOOR, MODULAR_HERM_TOL, RANK_TOL, SPAN_TOL,
+                     SPECTRAL_FLOOR, SUPPORT_LEAK_TOL, EigenSystem, any_member,
+                     check_hermitian, dagger, frob, herm_eig, unwrap)
 from .states import POS_INF, State, restrict
 
 _LOG = lambda x: math.log(x.real)
@@ -40,7 +42,7 @@ def _block_diag(blocks) -> np.ndarray:
 def _support_projection(phi: State):
     es = phi.spectrum()
     w = es.eigenvalues
-    keep = w > 1e-12 * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    keep = w > SPECTRAL_FLOOR * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     v = es.eigenvectors * keep[..., None, :]
     return v @ dagger(v)
 
@@ -71,7 +73,7 @@ def rel_entropy_closed(phi: State, psi: State):
     _check_same_algebra(phi, psi)
     p_psi = _support_projection(psi)
     leak = np.real(phi.tau.value(phi.rho @ (np.eye(phi.algebra.dim) - p_psi)))
-    leaks = leak > 1e-10 * np.maximum(1.0, phi.mass)
+    leaks = leak > SUPPORT_LEAK_TOL * np.maximum(1.0, phi.mass)
     if not any_member(~leaks):
         return unwrap(np.full(leaks.shape, POS_INF))
     val = np.real(phi.tau.value(phi.rho @ (_log_density(phi, leaks) - _log_density(psi, leaks))))
@@ -97,7 +99,7 @@ class StandardForm:
     def __post_init__(self):
         # the coordinates are exact only when the block ranges are orthonormal
         w = np.concatenate(self.algebra.isometries, axis=1)
-        if frob(dagger(w) @ w - np.eye(w.shape[1])) > 1e-9:
+        if frob(dagger(w) @ w - np.eye(w.shape[1])) > GNS_FRAME_TOL:
             raise ArithmeticError("GNS basis failed orthonormality check")
         self.hs_dim = self.algebra.dim_linear
 
@@ -121,7 +123,7 @@ class StandardForm:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""
         rows = np.stack([self.vectorize(b) for b in sub.canonical_basis()])
         u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
         vh = vh[:rank]
         return dagger(vh) @ vh
 
@@ -142,7 +144,7 @@ class RelativeModularOperator:
         form = form or StandardForm(phi.algebra, phi.tau)
         inv_phi = phi.density_function(_INV, support_only=True)
         mat = form.left_matrix(psi.rho) @ form.right_matrix(inv_phi)
-        mat = check_hermitian(mat, tol=1e-9)
+        mat = check_hermitian(mat, tol=MODULAR_HERM_TOL)
         return cls(form=form, matrix=mat)
 
     def eigensystem(self):
@@ -161,8 +163,8 @@ def rel_entropy_modular(phi: State, psi: State, form: StandardForm | None = None
     es = delta.eigensystem()
     weights = np.abs(dagger(es.eigenvectors) @ xi) ** 2
     lam = es.eigenvalues
-    lam_cut = 1e-13 * max(1.0, float(np.max(lam)) if lam.size else 0.0)
-    w_cut = 1e-12 * max(1.0, float(np.sum(weights)))
+    lam_cut = KERNEL_FLOOR * max(1.0, float(np.max(lam)) if lam.size else 0.0)
+    w_cut = SPECTRAL_FLOOR * max(1.0, float(np.sum(weights)))
     total = 0.0
     for l, w in zip(lam, weights):
         if l <= lam_cut:
@@ -252,9 +254,9 @@ def kosaki_eval(phi: State, psi: State, subspace=None, grid: KosakiGrid | None =
 
     # orthonormal basis v_i of V; the tail step needs the identity in V
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    vh = vh[s > 1e-10 * s[0]]
+    vh = vh[s > RANK_TOL * s[0]]
     eye = np.eye(dim, dtype=complex).ravel()
-    if frob(eye - (np.conj(vh) @ eye) @ vh) > 1e-9 * math.sqrt(dim):
+    if frob(eye - (np.conj(vh) @ eye) @ vh) > SPAN_TOL * math.sqrt(dim):
         raise ValueError("kosaki_eval requires the identity to lie in the subspace")
 
     # phi(x) = Tr(A x) and psi(x) = Tr(B x) with A = T rho_phi, B = T rho_psi
@@ -284,7 +286,7 @@ def kosaki_eval(phi: State, psi: State, subspace=None, grid: KosakiGrid | None =
     # rounding asymmetry of the whitened g, hence its Hermitian part.
     pencil = herm_eig(g + h)
     lam = pencil.eigenvalues
-    live = lam > 1e-12 * max(1.0, float(lam[-1]))
+    live = lam > SPECTRAL_FLOOR * max(1.0, float(lam[-1]))
     whiten = pencil.eigenvectors[:, live] / np.sqrt(lam[live])
     g_w = dagger(whiten) @ g @ whiten
     inner = herm_eig(0.5 * (g_w + dagger(g_w)))
@@ -339,7 +341,7 @@ def reverse_entropy(tau: TraceWeight, phi: State):
     A faithful density has no eigenvalue near enough to zero for the support
     cutoff of _log_density to drop it, so that is the full log rho.
     """
-    if abs(tau.total - 1.0) > 1e-10:
+    if not tau.is_normalized:
         raise ValueError(f"reverse_entropy requires a normalized trace, got tau(1) = {tau.total}")
     unfaithful = ~np.asarray(phi.is_faithful)
     if not any_member(~unfaithful):

@@ -15,19 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight, tensor_algebra
-from .linalg import (
-    EigenSystem,
-    any_member,
-    check_hermitian,
-    dagger,
-    first_failure,
-    frob_each,
-    herm_eig,
-    kron,
-    matrix_function,
-    member_note,
-    unwrap,
-)
+from .linalg import (DENSITY_TOL, SPECTRAL_FLOOR, EigenSystem, any_member, check_hermitian,
+                     dagger, first_failure, frob_each, herm_eig, kron, matrix_function,
+                     member_note, unwrap)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -57,10 +47,10 @@ class State:
         self.rho = np.array(self.rho, dtype=complex)
         self.rho.flags.writeable = False
         self.algebra.require_member(self.rho, "density")
-        self._eig = herm_eig(self.rho, tol=1e-10)
+        self._eig = herm_eig(self.rho, tol=DENSITY_TOL)
         w = self._eig.eigenvalues
         w.flags.writeable = self._eig.eigenvectors.flags.writeable = False
-        negative = w[..., 0] < -1e-10 * np.maximum(1.0, np.abs(w).max(axis=-1))
+        negative = w[..., 0] < -DENSITY_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
         if any_member(negative):
             at = first_failure(negative)
             raise ValueError(f"density has negative eigenvalue {float(w[at][0]):.3e}"
@@ -72,7 +62,7 @@ class State:
         declared = np.asarray(self.mass, dtype=float)
         if not np.isfinite(declared).all():
             raise ValueError(f"declared mass must be finite, got {self.mass}")
-        off = np.abs(mass - declared) > 1e-10 * np.maximum(1.0, np.abs(declared))
+        off = np.abs(mass - declared) > DENSITY_TOL * np.maximum(1.0, np.abs(declared))
         if any_member(off):
             at = first_failure(off)
             raise ValueError(f"declared mass {declared[at]} but tau(rho) = "
@@ -83,12 +73,12 @@ class State:
 
     @property
     def is_state(self) -> bool:
-        return abs(self.mass - 1.0) <= 1e-10
+        return abs(self.mass - 1.0) <= DENSITY_TOL
 
     def spectrum(self) -> EigenSystem:
         """The eigensystem of rho, held since construction.
 
-        Construction admits an asymmetry of rho up to 1e-10; the first call
+        Construction admits an asymmetry of rho up to DENSITY_TOL; the first call
         also applies the stricter HERM_TOL check of matrix_function and
         remembers that it passed.
         """
@@ -106,7 +96,7 @@ class State:
 
     @property
     def is_faithful(self):
-        return unwrap(self.min_eigenvalue() > 1e-12 * np.maximum(1.0, frob_each(self.rho)))
+        return unwrap(self.min_eigenvalue() > SPECTRAL_FLOOR * np.maximum(1.0, frob_each(self.rho)))
 
     def scaled(self, c) -> "State":
         c = np.asarray(c, dtype=float)

@@ -130,6 +130,25 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert "3/3 suites passed" in proc.stdout
 
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        dirs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "vne", "verify", "all-desk-scale", "--seed", "2026",
+                 "--out", str(out_dir)],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            dirs.append(out_dir)
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        assert len(names) == 17
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
     def test_imports_without_scipy(self):
         # numpy is the only run-time dependency, also for the gap maximizer
         package_root = str(Path(cli.__file__).resolve().parents[1])

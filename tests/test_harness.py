@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vne.algebra import algebra_from_blocks, full_matrix_algebra, normalized_trace
 from vne.harness import (
     Ensemble,
+    VerificationReport,
     maximize_gap,
     random_state,
     run_suite,
@@ -129,6 +130,14 @@ class TestSuites:
     def test_zero_tolerance_forces_failure(self):
         rep = run_suite("entropy-vn-shift", trials=20, seed=0, tol=0.0)
         assert not rep.passed
+
+    @pytest.mark.parametrize("values", [[0.0, math.nan], [math.nan, 0.0]])
+    def test_nan_violation_fails_in_either_position(self, values):
+        records = [{"slack": -v, "violation": v, "trial": i} for i, v in enumerate(values)]
+        rep = VerificationReport("nan", len(records), 0, 1e-9, records)
+        assert not rep.passed
+        assert math.isnan(rep.max_violation)
+        assert math.isnan(rep.min_slack) and math.isnan(rep.max_slack)
 
     def test_extremes_are_signed(self):
         rep = run_suite("entropy-gap-bound", trials=10, seed=3)

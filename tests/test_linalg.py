@@ -14,7 +14,6 @@ from vne.linalg import (
     dagger,
     frob,
     herm_eig,
-    is_psd,
     log_quadrature,
     matrix_function,
     partial_trace,
@@ -170,14 +169,6 @@ class TestPartialTrace:
     def test_bad_side(self):
         with pytest.raises(ValueError, match="side"):
             partial_trace(np.eye(6), (2, 3), "middle")
-
-
-class TestIsPsd:
-    def test_positive(self):
-        assert is_psd(np.diag([0.0, 1.0]))
-
-    def test_negative(self):
-        assert not is_psd(np.diag([-1.0, 1.0]))
 
 
 class TestLogQuadrature:

@@ -484,6 +484,14 @@ class TestReverseEntropy:
         with pytest.raises(ValueError, match="normalized"):
             reverse_entropy(tr, phi)
 
+    def test_normalization_agrees_with_the_trace_predicate(self):
+        # tau(1) = 1 + 4e-11: outside NORMALIZED_TOL, which both must apply
+        a = full_matrix_algebra(2)
+        tau = TraceWeight(a, (0.5 + 2e-11,))
+        assert not tau.is_normalized
+        with pytest.raises(ValueError, match="normalized"):
+            reverse_entropy(tau, State(a, tau, np.diag([1.5, 0.5])))
+
 
 class TestBoundedApproximation:
     def test_increases_to_trace(self):
