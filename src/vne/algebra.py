@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (CERT_TOL, CLOSURE_ROUNDS, CLUSTER_TOL, COUPLING_TOL, FRAME_TOL,
-                     GENERIC_HERM_TOL, NORMALIZED_TOL, RANK_TOL, SAME_SPAN_TOL, SPAN_TOL,
-                     any_member, dagger, first_failure, frob, frob_each, herm_eig,
-                     member_note, unwrap)
+                     NORMALIZED_TOL, RANK_TOL, SPAN_TOL, any_member, dagger, first_failure,
+                     frob, frob_each, herm_eig, member_note, unwrap)
 
 
 def _orthonormal_rows(mat):
@@ -130,7 +129,7 @@ class MultiMatrixAlgebra:
     def same_span(self, other) -> bool:
         if self.dim != other.dim or self.dim_linear != other.dim_linear:
             return False
-        return all(self.membership_residual(u) <= SAME_SPAN_TOL for u in other.generating_units())
+        return all(self.membership_residual(u) <= SPAN_TOL for u in other.generating_units())
 
     # -- block structure --------------------------------------------------
 
@@ -430,7 +429,7 @@ def wedderburn_decompose(span, seed: int = 0) -> MultiMatrixAlgebra:
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((2, len(span))) + 1j * rng.standard_normal((2, len(span)))
     a, b = np.tensordot(coeffs, span, axes=1)
-    es = herm_eig(0.5 * (a + dagger(a)), tol=GENERIC_HERM_TOL)
+    es = herm_eig(0.5 * (a + dagger(a)))
     spread = max(1.0, float(es.eigenvalues[-1] - es.eigenvalues[0]))
     frames = [es.eigenvectors[:, g] for g in _cluster(es.eigenvalues, CLUSTER_TOL * spread)]
     cut = COUPLING_TOL * frob(b)

@@ -2,9 +2,10 @@
 
 Subcommands: entropy, relent, index, verify, maximize. Exit code 0 means the
 requested computation ran (and, for verify, every suite passed); 1 means a
-verification suite violated its tolerance; 2 means the spec or the invocation
-was malformed, or the computation ran out of memory. Human-readable text goes
-to stdout and never carries pass/fail semantics; reports and exit codes do.
+verification suite violated its tolerance; 2 means the spec, the invocation
+or the input to a computation was malformed, or the computation ran out of
+memory; 3 means a certificate of the computation failed. Human-readable text
+goes to stdout and never carries pass/fail semantics; reports and exit codes do.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def cmd_relent(spec: SpecFile, args) -> int:
     if phi.algebra is not psi.algebra:
         raise SpecError(f"states {args.state_a!r} and {args.state_b!r} "
                         f"live on different algebras")
+    if phi.tau.weights != psi.tau.weights:
+        raise SpecError(f"states {args.state_a!r} and {args.state_b!r} "
+                        f"are expressed against different trace weights")
     closed = rel_entropy_closed(phi, psi)
     print(f"relative entropy S({args.state_a} || {args.state_b})")
     print(f"  closed form    = {_display(closed, args.log2)}")
@@ -201,12 +205,10 @@ def cmd_maximize(spec: SpecFile, args) -> int:
     print(f"  best gap  = {_display(res.gap, args.log2)}")
     print(f"  ceiling   = {_display(res.bound, args.log2)} (log pp_positive)")
     print(f"  shortfall = {res.shortfall:.3e}")
-    # the closed maximizer is one construction; the two counts keep the output keys
-    print(f"  converged = {res.converged} (restarts 1, evaluations 1)")
+    print(f"  converged = {res.converged}")
     if args.out:
         payload = {"inclusion": name, "gap": res.gap, "bound": res.bound,
-                   "shortfall": res.shortfall, "converged": res.converged,
-                   "restarts_used": 1, "evaluations": 1}
+                   "shortfall": res.shortfall, "converged": res.converged}
         print(f"  wrote {_write_json(args.out, f'maximize-{name}.json', payload)}")
     return 0
 
@@ -238,6 +240,12 @@ def main(argv=None) -> int:
         # exit 1 is reserved for a suite that violated its tolerance
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: {args.command}: certificate failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

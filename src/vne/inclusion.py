@@ -27,7 +27,7 @@ from .algebra import (
     tensor_left_subalgebra,
     wedderburn_decompose,
 )
-from .linalg import (ASCENT_GAIN, ASCENT_LEAK_TOL, CERT_TOL, CHECK_TOL, DUAL_TOL, GRADIENT_TOL,
+from .linalg import (ASCENT_GAIN, ASCENT_LEAK_TOL, CERT_TOL, DUAL_TOL, GRADIENT_TOL,
                      PENCIL_TOL, ROUTE_TOL, SPECTRAL_FLOOR, dagger, first_failure, frob,
                      herm_eig, member_note)
 from .relent import StandardForm, rel_entropy_closed
@@ -155,19 +155,19 @@ def trace_expectation(
             x = _random_member(ambient, rng)
             ex = inc.apply(x)
             scale = max(1.0, frob(x))
-            if sub.membership_residual(ex) > CHECK_TOL * scale:
+            if sub.membership_residual(ex) > CERT_TOL * scale:
                 raise ArithmeticError("expectation leaves the subalgebra")
-            if frob(inc.apply(ex) - ex) > CHECK_TOL * scale:
+            if frob(inc.apply(ex) - ex) > CERT_TOL * scale:
                 raise ArithmeticError("expectation is not idempotent")
             if abs(tau.value(ex) - tau.value(x)) > CERT_TOL * scale:
                 raise ArithmeticError("expectation does not preserve the trace")
             b1, b2 = sub.random_hermitian(rng), sub.random_hermitian(rng)
             bim = inc.apply(b1 @ x @ b2) - b1 @ ex @ b2
-            if frob(bim) > CHECK_TOL * scale * max(1.0, frob(b1) * frob(b2)):
+            if frob(bim) > CERT_TOL * scale * max(1.0, frob(b1) * frob(b2)):
                 raise ArithmeticError("expectation violates the bimodule property")
             h = inc.apply(x @ dagger(x))
             low = float(np.min(np.linalg.eigvalsh(0.5 * (h + dagger(h)))))
-            if low < -CHECK_TOL * scale * scale:
+            if low < -CERT_TOL * scale * scale:
                 raise ArithmeticError(f"expectation not positive, eigenvalue {low:.3e}")
     return inc
 

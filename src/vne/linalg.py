@@ -20,32 +20,21 @@ import numpy as np
 HERM_TOL = 1e-12
 # a State's density: Hermitian part, negative eigenvalues, declared and unit mass
 DENSITY_TOL = 1e-10
-# Hermitian check of the assembled relative modular operator
-MODULAR_HERM_TOL = 1e-9
-# Hermitian check of the generic member that splits a span into eigenspaces
-GENERIC_HERM_TOL = 1e-8
-# certificates: eigendecomposition residuals, commutant, unital and trace-preserving expectation
+# certificates: eigendecomposition residuals, commutant, unital and trace-preserving
+# expectation, and an expectation's membership, idempotence, bimodule and positivity checks
 CERT_TOL = 1e-10
 # smallest norm a relative residual is measured against
 NORM_FLOOR = 1e-300
 # an eigenvalue or spectral weight below this times the top one counts as zero
 SPECTRAL_FLOOR = 1e-12
-# kernel of the relative modular operator, relative to max(1, top eigenvalue)
-KERNEL_FLOOR = 1e-13
 # a singular value below this times the top one drops out of the numerical rank
 RANK_TOL = 1e-10
-# membership: relative distance from an algebra or a span
+# membership: relative distance from an algebra or a span, and of one algebra's units in another
 SPAN_TOL = 1e-9
-# membership of one algebra's generating units in another's span
-SAME_SPAN_TOL = 1e-8
-# joint orthonormality of block isometries, as |W*W - 1|_F
-FRAME_TOL = 1e-8
-# the same check on the GNS coordinates of a standard form
-GNS_FRAME_TOL = 1e-9
+# joint orthonormality of block isometries, and of a standard form's coordinates, as |W*W - 1|_F
+FRAME_TOL = 1e-9
 # a trace weight is normalized when |tau(1) - 1| is at most this
 NORMALIZED_TOL = 1e-12
-# construction checks of an expectation: membership, idempotence, bimodule, positivity
-CHECK_TOL = 1e-9
 # gap between eigenvalue clusters of a generic member, relative to its spread
 CLUSTER_TOL = 1e-6
 # coupling between eigenspaces of a generic member, relative to its norm

@@ -1,8 +1,9 @@
 """Relative entropy on multi-matrix algebras, by three independent routes.
 
-rel_entropy_closed works directly on densities.  rel_entropy_modular builds
-the relative modular operator on the trace GNS space and integrates log
-against its spectral resolution.  kosaki_eval maximizes the variational
+rel_entropy_closed works directly on densities.  rel_entropy_modular reads
+the spectral resolution of the relative modular operator off the two
+states' block spectra, diagonalizing each block component itself, and
+integrates log against it.  kosaki_eval maximizes the variational
 functional over step functions and is a certified lower bound; restricted
 to a subspace V of the algebra it computes the subspace relative entropy.
 All its slice problems come from one generalized eigendecomposition of the
@@ -18,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, TraceWeight, algebra_from_blocks
-from .linalg import (GNS_FRAME_TOL, KERNEL_FLOOR, MODULAR_HERM_TOL, RANK_TOL, SPAN_TOL,
-                     SPECTRAL_FLOOR, SUPPORT_LEAK_TOL, EigenSystem, any_member,
-                     check_hermitian, dagger, frob, herm_eig, unwrap)
+from .linalg import (FRAME_TOL, RANK_TOL, SPAN_TOL, SPECTRAL_FLOOR, SUPPORT_LEAK_TOL,
+                     EigenSystem, any_member, dagger, frob, herm_eig, unwrap)
 from .states import POS_INF, State, restrict
 
 _LOG = lambda x: math.log(x.real)
-_INV = lambda x: 1.0 / x
 _SQRT = lambda x: math.sqrt(x.real)
 
 
@@ -80,7 +79,41 @@ def rel_entropy_closed(phi: State, psi: State):
     return unwrap(np.where(leaks, POS_INF, val))
 
 
-# -- the standard form and the modular route ---------------------------------
+def rel_entropy_modular(phi: State, psi: State) -> float:
+    """S(phi||psi) = -(xi_phi, log Delta xi_phi) via the spectral resolution of Delta.
+
+    In block k, Delta = Delta_{psi,phi} maps x to rho_psi,k x rho_phi,k^+. With
+    rho_phi,k = sum_i lam_i e_i e_i* and rho_psi,k = sum_j mu_j f_j f_j*, its
+    eigenvectors are the f_j e_i*, with eigenvalues mu_j / lam_i, and xi_phi
+    puts weight w_k lam_i |<f_j, e_i>|^2 on each. Independent of
+    rel_entropy_closed: each block component is diagonalized here, and +inf
+    is returned when weight sits on the kernel of psi.
+    """
+    _check_same_algebra(phi, psi)
+    alg = phi.algebra
+    blocks = []
+    for w, a, b in zip(phi.tau.weights, alg.block_components(phi.rho),
+                       alg.block_components(psi.rho)):
+        ea, eb = herm_eig(a), herm_eig(b)
+        overlap = np.abs(dagger(ea.eigenvectors) @ eb.eigenvectors) ** 2
+        weight = w * ea.eigenvalues[:, None] * overlap
+        blocks.append((ea.eigenvalues, eb.eigenvalues, weight))
+    lam_top = max(float(np.abs(lam).max(initial=0.0)) for lam, _, _ in blocks)
+    mu_top = max(float(np.abs(mu).max(initial=0.0)) for _, mu, _ in blocks)
+    w_cut = SPECTRAL_FLOOR * max(1.0, float(phi.mass))
+    total = 0.0
+    for lam, mu, weight in blocks:
+        live = lam > SPECTRAL_FLOOR * lam_top
+        kernel = mu <= SPECTRAL_FLOOR * mu_top
+        weight = weight[live]
+        if np.any(weight[:, kernel] > w_cut):
+            return POS_INF
+        logs = np.log(lam[live])[:, None] - np.log(mu[~kernel])
+        total += float(np.sum(weight[:, ~kernel] * logs))
+    return total
+
+
+# -- the standard form ---------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -90,7 +123,7 @@ class StandardForm:
     A member x = (+)_k x_k (x) 1_{m_k} has coordinates (+)_k sqrt(w_k) x_k,
     each block row-major: its coefficients against the orthonormal basis of
     matrix units scaled by 1 / sqrt(w_k). Left multiplication by a becomes
-    block-diag(a_k (x) 1) and right multiplication block-diag(1 (x) a_k^T).
+    block-diag(a_k (x) 1).
     """
 
     algebra: MultiMatrixAlgebra
@@ -99,7 +132,7 @@ class StandardForm:
     def __post_init__(self):
         # the coordinates are exact only when the block ranges are orthonormal
         w = np.concatenate(self.algebra.isometries, axis=1)
-        if frob(dagger(w) @ w - np.eye(w.shape[1])) > GNS_FRAME_TOL:
+        if frob(dagger(w) @ w - np.eye(w.shape[1])) > FRAME_TOL:
             raise ArithmeticError("GNS basis failed orthonormality check")
         self.hs_dim = self.algebra.dim_linear
 
@@ -116,9 +149,6 @@ class StandardForm:
     def left_matrix(self, a) -> np.ndarray:
         return _block_diag([np.kron(c, np.eye(len(c))) for c in self.algebra.block_components(a)])
 
-    def right_matrix(self, a) -> np.ndarray:
-        return _block_diag([np.kron(np.eye(len(c)), c.T) for c in self.algebra.block_components(a)])
-
     def subspace_projection(self, sub: MultiMatrixAlgebra) -> np.ndarray:
         """Orthogonal projection of the GNS space onto the closure of a subalgebra."""
         rows = np.stack([self.vectorize(b) for b in sub.canonical_basis()])
@@ -129,50 +159,6 @@ class StandardForm:
 
     def cyclic_vector(self, phi: State) -> np.ndarray:
         return self.vectorize(phi.density_function(_SQRT, support_only=True))
-
-
-@dataclass(eq=False)
-class RelativeModularOperator:
-    """Delta_{psi,phi} on the trace GNS space: x -> rho_psi x rho_phi^+."""
-
-    form: StandardForm
-    matrix: np.ndarray
-
-    @classmethod
-    def build(cls, phi: State, psi: State, form: StandardForm | None = None):
-        _check_same_algebra(phi, psi)
-        form = form or StandardForm(phi.algebra, phi.tau)
-        inv_phi = phi.density_function(_INV, support_only=True)
-        mat = form.left_matrix(psi.rho) @ form.right_matrix(inv_phi)
-        mat = check_hermitian(mat, tol=MODULAR_HERM_TOL)
-        return cls(form=form, matrix=mat)
-
-    def eigensystem(self):
-        return herm_eig(self.matrix)
-
-
-def rel_entropy_modular(phi: State, psi: State, form: StandardForm | None = None) -> float:
-    """S(phi||psi) = -(xi_phi, log Delta xi_phi) via the spectral resolution.
-
-    Independent of rel_entropy_closed: the value is assembled from the
-    eigenpairs of the modular matrix, with vanishing spectral weight on the
-    kernel required for finiteness.
-    """
-    delta = RelativeModularOperator.build(phi, psi, form)
-    xi = delta.form.cyclic_vector(phi)
-    es = delta.eigensystem()
-    weights = np.abs(dagger(es.eigenvectors) @ xi) ** 2
-    lam = es.eigenvalues
-    lam_cut = KERNEL_FLOOR * max(1.0, float(np.max(lam)) if lam.size else 0.0)
-    w_cut = SPECTRAL_FLOOR * max(1.0, float(np.sum(weights)))
-    total = 0.0
-    for l, w in zip(lam, weights):
-        if l <= lam_cut:
-            if w > w_cut:
-                return POS_INF
-            continue
-        total -= w * math.log(l)
-    return float(total)
 
 
 # -- Kosaki variational formula ----------------------------------------------

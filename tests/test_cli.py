@@ -1,18 +1,26 @@
 """Command-line behavior: output values, report files, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vne import cli
+from vne.algebra import algebra_from_blocks
 from vne.cli import main
+from vne.specfile import matrix_to_json
 
 SPEC = str(resources.files("vne").joinpath("data/desk.json"))
 
@@ -77,6 +85,20 @@ class TestRelentCommand:
         assert code == 2
         assert "different algebras" in err
 
+    def test_mismatched_trace_weights_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "weights.json"
+        spec.write_text(json.dumps({
+            "version": 1, "algebras": {"m2": {"kind": "full", "n": 2}},
+            "traces": {"half": {"algebra": "m2", "weights": "normalized"},
+                       "one": {"algebra": "m2", "weights": "unnormalized"}},
+            "states": {"a": {"algebra": "m2", "trace": "half",
+                             "ensemble": {"kind": "hilbert-schmidt", "seed": 1}},
+                       "b": {"algebra": "m2", "trace": "one",
+                             "ensemble": {"kind": "hilbert-schmidt", "seed": 2}}}}))
+        code, _, err = run_cli(capsys, "relent", "a", "b", "--spec", str(spec))
+        assert code == 2
+        assert "'a' and 'b'" in err and "different trace weights" in err
+
 
 class TestIndexCommand:
     @pytest.mark.parametrize("name,pos,cp", [
@@ -106,9 +128,7 @@ class TestMaximizeCommand:
                              "--out", str(tmp_path))
         assert code == 0
         payload = json.loads((tmp_path / "maximize-c-in-m3.json").read_text())
-        assert sorted(payload) == ["bound", "converged", "evaluations", "gap", "inclusion",
-                                   "restarts_used", "shortfall"]
-        assert payload["restarts_used"] == payload["evaluations"] == 1
+        assert sorted(payload) == ["bound", "converged", "gap", "inclusion", "shortfall"]
         assert payload["converged"] is True
         assert abs(payload["gap"] - math.log(3.0)) <= 1e-9
 
@@ -264,9 +284,85 @@ class TestConfigErrors:
         assert code == 2
         assert "error: out of memory in index" in err
 
+    def test_library_value_error_exits_2(self, capsys, monkeypatch):
+        def rejected(spec, args):
+            raise ValueError("input outside the supported range")
+
+        monkeypatch.setitem(cli._COMMANDS, "index", rejected)
+        code, _, err = run_cli(capsys, "index", "m2-in-m4", "--spec", SPEC)
+        assert code == 2
+        assert err == "error: index: input outside the supported range\n"
+
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
+        def uncertified(spec, args):
+            raise ArithmeticError("eigendecomposition residual 1e-3 exceeds 1e-10 * |H|_F")
+
+        monkeypatch.setitem(cli._COMMANDS, "entropy", uncertified)
+        code, _, err = run_cli(capsys, "entropy", "m2-pure", "--spec", SPEC)
+        assert code == 3
+        assert err.startswith("error: entropy: certificate failed: eigendecomposition")
+
     def test_malformed_spec_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1, "algebras": {"a": {"kind": "weird"}}}')
         code, _, err = run_cli(capsys, "index", "x", "--spec", str(bad))
         assert code == 2
         assert "algebras.a" in err
+
+
+ENSEMBLE_KINDS = ("hilbert-schmidt", "purified-haar", "spectrum-fixed")
+
+
+@st.composite
+def small_specs(draw):
+    """A spec on one block algebra with D <= 8: two traces, two ensemble states, and
+    the inclusion of the subalgebra generated by one or two members."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1,
+                           max_size=3).filter(lambda bs: sum(n * m for n, m in bs) <= 8))
+    alg = algebra_from_blocks(blocks)
+    weights = st.one_of(st.sampled_from(["normalized", "unnormalized"]),
+                        st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                                 min_size=len(blocks), max_size=len(blocks)))
+    states = {}
+    for name in ("a", "b"):
+        ens = {"kind": draw(st.sampled_from(ENSEMBLE_KINDS)), "seed": draw(st.integers(0, 99)),
+               "floor": draw(st.sampled_from([0.0, 0.05]))}
+        if ens["kind"] == "spectrum-fixed":
+            size = sum(n for n, _ in blocks)
+            ens["spectrum"] = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                            min_size=size, max_size=size))
+        states[name] = {"algebra": "amb", "trace": draw(st.sampled_from(["t1", "t2"])),
+                        "ensemble": ens}
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        comps = [np.reshape(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                            (n, n)) for n, _ in blocks]
+        generators.append(matrix_to_json(alg.embed(comps)))
+    return {
+        "version": 1,
+        "algebras": {"amb": {"blocks": [list(b) for b in blocks]},
+                     "sub": {"ambient_dim": alg.dim, "generators": generators}},
+        "traces": {"t1": {"algebra": "amb", "weights": draw(weights)},
+                   "t2": {"algebra": "amb", "weights": draw(weights)}},
+        "states": states,
+        "inclusions": {"inc": {"ambient": "amb", "sub": "sub", "trace": "t1"}},
+    }
+
+
+class TestExitCodeContract:
+    """0 for a computation that ran, 2 for malformed input, 3 for a failed certificate;
+    1 belongs to verify alone, and no exception escapes."""
+
+    @given(doc=small_specs())
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    def test_commands_exit_0_2_or_3(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (["entropy", "a"], ["relent", "a", "b"], ["index", "inc"],
+                         ["maximize", "inc"]):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(argv + ["--spec", path])
+                assert code in (0, 2, 3), (argv, err.getvalue())

@@ -1,4 +1,4 @@
-"""The numerical policy: every threshold of the package is named in vne.linalg."""
+"""The numerical policy: every threshold of the package is named in vne.linalg, and read."""
 
 import ast
 import io
@@ -13,17 +13,32 @@ SRC = Path(vne.__file__).resolve().parent
 THRESHOLD = re.compile(r"^[0-9_.]+[eE]-[0-9_]+$")
 
 
+def _assignments(tree: ast.Module):
+    """Module-level assignments to a single name."""
+    return [node for node in tree.body if isinstance(node, ast.Assign)
+            and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)]
+
+
+def _is_policy(node: ast.Assign) -> bool:
+    return node.targets[0].id.isupper() and isinstance(node.value, ast.Constant)
+
+
+def _dead_policy_names(src: Path) -> list:
+    """Policy constants of linalg that no module of the package reads; an import is not a read."""
+    tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+    read = {node.id for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [node.targets[0].id for node in _assignments(tree)
+            if _is_policy(node) and node.targets[0].id not in read]
+
+
 def _allowed_lines(path: Path, tree: ast.Module) -> set:
     """Lines of the policy constants in linalg and of the _SUITES table in harness."""
     lines = set()
-    for node in tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            continue
-        name = node.targets[0].id
-        policy = (path.name == "linalg.py" and name.isupper()
-                  and isinstance(node.value, ast.Constant))
-        if policy or (path.name == "harness.py" and name == "_SUITES"):
+    for node in _assignments(tree):
+        policy = path.name == "linalg.py" and _is_policy(node)
+        if policy or (path.name == "harness.py" and node.targets[0].id == "_SUITES"):
             lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
 
@@ -47,3 +62,16 @@ def test_guard_sees_a_stray_threshold(tmp_path):
     path.write_text('"""1e-9 in a docstring is text."""\nLIMIT = 1e-9\nx = 2.5E-12 * 3\n')
     assert _stray_thresholds(path) == ["module.py:2: 1e-9", "module.py:3: 2.5E-12"]
 
+
+
+def test_every_policy_name_is_read():
+    dead = _dead_policy_names(SRC)
+    assert not dead, "policy constants that src/vne never reads: " + ", ".join(dead)
+
+
+def test_guard_sees_a_dead_policy_name(tmp_path):
+    (tmp_path / "linalg.py").write_text('USED_TOL = 1e-9\nDEAD_TOL = 1e-8\nROUNDS = 3\n'
+                                        'def f(x, tol=USED_TOL):\n    return x < tol\n')
+    (tmp_path / "other.py").write_text('from .linalg import DEAD_TOL, ROUNDS\n'
+                                       'LIMIT = ROUNDS + 1\n')
+    assert _dead_policy_names(tmp_path) == ["DEAD_TOL"]

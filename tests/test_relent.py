@@ -31,6 +31,8 @@ from vne.relent import (
 )
 from vne.states import State, maximally_mixed, pure_state
 
+from oracles import dense_modular_relent, right_matrix
+
 
 def hs_state(algebra, tau, seed, floor=0.0):
     rng = np.random.default_rng(seed)
@@ -122,16 +124,6 @@ class TestModularRoute:
         psi = State(a, tau, np.diag([2.0, 0.0]))
         assert rel_entropy_modular(phi, psi) == math.inf
 
-    def test_shared_form_is_reusable(self):
-        a = full_matrix_algebra(3)
-        tau = normalized_trace(a)
-        form = StandardForm(a, tau)
-        phi = hs_state(a, tau, 7, floor=0.05)
-        psi = hs_state(a, tau, 8, floor=0.05)
-        v1 = rel_entropy_modular(phi, psi, form)
-        v2 = rel_entropy_modular(phi, psi)
-        assert abs(v1 - v2) < 1e-12
-
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_route_agreement_property(self, seed):
@@ -182,12 +174,13 @@ class TestStandardForm:
         a = tau.algebra
         form = StandardForm(a, tau)
         vectorize, left, right = unit_basis_form(tau)
+        # right multiplication lives only in the dense oracle
         rng = np.random.default_rng(9)
         for _ in range(3):
             x = a.random_hermitian(rng) + 1j * a.random_hermitian(rng)
             assert np.max(np.abs(form.vectorize(x) - vectorize(x))) < 1e-12
             assert np.max(np.abs(form.left_matrix(x) - left(x))) < 1e-12
-            assert np.max(np.abs(form.right_matrix(x) - right(x))) < 1e-12
+            assert np.max(np.abs(right_matrix(form, x) - right(x))) < 1e-12
 
     def test_overlapping_isometries_rejected(self):
         e0 = np.array([[1.0], [0.0]], dtype=complex)
@@ -200,12 +193,50 @@ class TestStandardForm:
     def test_modular_route_on_multiplicities(self, make_tau):
         tau = make_tau()
         a = tau.algebra
-        form = StandardForm(a, tau)
         for seed in range(10):
             phi = hs_state(a, tau, seed, floor=0.05)
             psi = hs_state(a, tau, seed + 500, floor=0.05)
-            assert abs(rel_entropy_closed(phi, psi)
-                       - rel_entropy_modular(phi, psi, form)) < 1e-9
+            assert abs(rel_entropy_closed(phi, psi) - rel_entropy_modular(phi, psi)) < 1e-9
+
+
+# M_2 (x) 1_3 (+) M_3 (+) M_1 (x) 1_2 at unequal, unnormalized weights: D = 11
+MULTI_BLOCK = pytest.param(
+    lambda: TraceWeight(algebra_from_blocks([(2, 3), (3, 1), (1, 2)]), (0.1, 0.3, 0.7)),
+    id="blocks-2x3-3x1-1x2")
+
+
+class TestBlockSpectralRoute:
+    """rel_entropy_modular from block spectra, against the dense relative modular operator."""
+
+    @pytest.mark.parametrize("make_tau", [MULTI_BLOCK] + COORDINATE_CASES)
+    def test_matches_the_dense_oracle(self, make_tau):
+        tau = make_tau()
+        a = tau.algebra
+        for seed in range(10):
+            phi = hs_state(a, tau, seed, floor=0.05)
+            psi = hs_state(a, tau, seed + 500, floor=0.05)
+            # a non-faithful phi against a faithful psi stays finite
+            thin = rank_deficient_state(a, tau, seed + 900)
+            for p, q in ((phi, psi), (thin, psi)):
+                assert abs(rel_entropy_modular(p, q) - dense_modular_relent(p, q)) < 1e-12
+
+    @pytest.mark.parametrize("blocks", [[(64, 1)], [(8, 4), (16, 2)]], ids=["m64", "8x4-16x2"])
+    def test_matches_the_closed_route_at_d64(self, blocks):
+        # the dense operator would need 268 MB per matrix on M_64
+        a = algebra_from_blocks(blocks)
+        tau = TraceWeight(a, tuple(0.2 + 0.5 * k for k in range(len(blocks))))
+        phi = hs_state(a, tau, 1, floor=0.05)
+        psi = hs_state(a, tau, 2, floor=0.05)
+        assert abs(rel_entropy_modular(phi, psi) - rel_entropy_closed(phi, psi)) < 1e-12
+
+    def test_support_leak_on_a_multi_block_algebra(self):
+        tau = MULTI_BLOCK.values[0]()
+        a = tau.algebra
+        phi = hs_state(a, tau, 3, floor=0.05)
+        psi = rank_deficient_state(a, tau, 4)
+        assert rel_entropy_modular(phi, psi) == math.inf
+        assert dense_modular_relent(phi, psi) == math.inf
+        assert rel_entropy_closed(phi, psi) == math.inf
 
 
 class TestKosaki:
